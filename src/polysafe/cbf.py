@@ -22,7 +22,7 @@ from .errors import (
     PolysafeError,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
-from .polytope import GeometryCert, HalfSpace, SafetySpec, eval_h, is_bounded
+from .polytope import GeometryCert, SafetySpec, TermRows, is_bounded, max_min
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -34,7 +34,8 @@ class ExtendedCbf:
 
     Extended index i < r is the position row h_i; index i + r is its
     velocity companion.  Each extended term stacks both families of the
-    originating position term.
+    originating position term; `rows` holds every term's rows, stacked
+    once for `max_min`.
     """
 
     spec: SafetySpec
@@ -50,16 +51,11 @@ class ExtendedCbf:
                 f"gamma*delta = {self.gamma * self.cert.delta:.6g} must exceed "
                 f"epsilon = {self.epsilon:.6g}"
             )
-        # the stacked rows of every extended term, built once: the barrier
-        # is evaluated at every control step
-        stacked = []
-        for ids in self.extended_terms:
-            grads, consts = zip(*(self.row(i) for i in ids))
-            A, b = np.array(grads), np.array(consts)
-            A.setflags(write=False)
-            b.setflags(write=False)
-            stacked.append((A, b, ids))
-        object.__setattr__(self, "_term_rows", tuple(stacked))
+        # built once: the barrier is evaluated at every control step
+        A, b = self.spec.A, self.spec.offsets
+        A_ext = np.block([[A, np.zeros_like(A)], [self.gamma * A, A]])
+        b_ext = np.concatenate([b, self.gamma * b - self.epsilon])
+        object.__setattr__(self, "rows", TermRows(A_ext, b_ext, self.extended_terms))
 
     @property
     def n(self) -> int:
@@ -84,11 +80,7 @@ class ExtendedCbf:
 
     def term_rows(self, ell: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Stacked (A, b, extended ids) for extended term ell (read-only)."""
-        return self._term_rows[ell]
-
-    def term_halfspaces(self, ell: int) -> list[HalfSpace]:
-        A, b, _ = self.term_rows(ell)
-        return [HalfSpace(A[k], b[k]) for k in range(len(b))]
+        return self.rows.term_rows(ell)
 
     def to_dict(self) -> dict:
         return {
@@ -109,12 +101,14 @@ class ExtendedCbf:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Barrier value at a state plus activation bookkeeping."""
+    """Barrier value at a state plus activation bookkeeping; `row_values`
+    (one per row of `cbf.rows`) and `per_term_min` are max_min's output."""
 
     value: float
     argmax_terms: tuple[int, ...]
     active_indices: frozenset[int]
-    per_term_min: dict[int, float]
+    per_term_min: np.ndarray
+    row_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,35 +191,22 @@ def eval_B(cbf: ExtendedCbf, x: np.ndarray) -> ActiveSet:
     x = np.asarray(x, dtype=float)
     if x.size != 2 * cbf.n:
         raise ValueError(f"state must have dimension {2 * cbf.n}")
-    per_term: dict[int, float] = {}
-    term_vals: dict[int, np.ndarray] = {}
-    for ell in range(len(cbf.spec.terms)):
-        A, b, _ = cbf.term_rows(ell)
-        vals = A @ x + b
-        term_vals[ell] = vals
-        per_term[ell] = float(vals.min())
-    value = max(per_term.values())
-    argmax = tuple(ell for ell, v in per_term.items()
+    rows = cbf.rows
+    vals, mins, value = max_min(rows, x)
+    value = float(value)
+    # a dozen rows: plain Python beats numpy's per-call cost here
+    row_vals = vals.tolist()
+    argmax = tuple(ell for ell, v in enumerate(mins.tolist())
                    if v >= value - ACTIVATION_TOL)
-    active: set[int] = set()
-    for ell in argmax:
-        ids = cbf.extended_terms[ell]
-        vals = term_vals[ell]
-        for k, i in enumerate(ids):
-            if vals[k] <= value + ACTIVATION_TOL:
-                active.add(i)
-    return ActiveSet(value=float(value), argmax_terms=argmax,
-                     active_indices=frozenset(active), per_term_min=per_term)
+    active = frozenset(rows.ids[k] for ell in argmax for k in rows.spans[ell]
+                       if row_vals[k] <= value + ACTIVATION_TOL)
+    return ActiveSet(value=value, argmax_terms=argmax, active_indices=active,
+                     per_term_min=mins, row_values=vals)
 
 
 def eval_B_many(cbf: ExtendedCbf, X: np.ndarray) -> np.ndarray:
     """Barrier values only, vectorized over rows of X (N x 2n)."""
-    X = np.asarray(X, dtype=float)
-    per_term = []
-    for ell in range(len(cbf.spec.terms)):
-        A, b, _ = cbf.term_rows(ell)
-        per_term.append((X @ A.T + b).min(axis=1))
-    return np.stack(per_term).max(axis=0)
+    return max_min(cbf.rows, np.asarray(X, dtype=float))[2]
 
 
 def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
@@ -236,11 +217,10 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
     the admissible interval (epsilon / (gamma * delta), 1).
     """
     x1 = np.asarray(x1, dtype=float)
-    vals = cbf.spec.A @ x1 + cbf.spec.offsets
-    term_vals = [min(vals[i] for i in t) for t in cbf.spec.terms]
+    _, term_vals, h = max_min(cbf.spec.rows, x1)
+    if h < 0.0:
+        raise NotInC(f"position outside the safety set (h = {h:.3e})")
     best = int(np.argmax(term_vals))
-    if term_vals[best] < 0.0:
-        raise NotInC(f"position outside the safety set (h = {term_vals[best]:.3e})")
     y = cbf.cert.witnesses[frozenset(cbf.spec.terms[best])]
     sigma = 0.5 * (1.0 + cbf.epsilon / (cbf.gamma * cbf.cert.delta))
     x2 = -cbf.gamma * sigma * (x1 - y)
@@ -257,7 +237,7 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
     unbounded-extended disagreement indicates an internal inconsistency.
     """
     for ell in range(len(cbf.spec.terms)):
-        if not is_bounded(cbf.term_halfspaces(ell)):
+        if not is_bounded(*cbf.term_rows(ell)[:2]):
             if cbf.cert.proj_bounded:
                 raise PolysafeError(
                     f"extended term {ell} unbounded despite bounded positions"
@@ -318,9 +298,8 @@ def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
         return np.zeros((0, 2 * cbf.n))
     rng = np.random.Generator(np.random.Philox(seed))
     facets = []
-    for ell in range(len(cbf.spec.terms)):
-        nrows = len(cbf.extended_terms[ell])
-        for k in range(nrows):
+    for ell, span in enumerate(cbf.rows.spans):
+        for k in range(len(span)):
             try:
                 facets.append(_facet_vertices(cbf, ell, k, rng, n_lps=4 * cbf.n + 4))
             except EmptyFacet:
@@ -346,10 +325,12 @@ def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
 def _largest_beta(input_set, base: np.ndarray, direction: np.ndarray) -> float:
     """Largest beta in (0, beta_hi] with base + beta * direction admissible.
 
-    The admissible betas form an interval by convexity; 20 bisection
-    steps after an exponential bracket.
+    beta = 1 when no row G u <= h of the input set limits it (U = R^m, or a
+    zero direction).  Otherwise the admissible betas form an interval by
+    convexity; 20 bisection steps after an exponential bracket.
     """
-    if isinstance(input_set, type(None)):
+    G, _ = input_set.rows(direction.size)
+    if not (G @ direction > 0.0).any():
         return 1.0
     if not input_set.contains(base + 1e-12 * direction):
         return 0.0
@@ -386,8 +367,6 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
     The recorded margin is min over binding i of
     a_i @ (gamma x2 + f2 + G2 u_x).
     """
-    from .inputs import Unbounded
-
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, r, gamma = cbf.n, cbf.r, cbf.gamma
     checks = []
@@ -395,8 +374,8 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
         x1, x2 = x[:n], x[n:]
         act = eval_B(cbf, x)
         binding = frozenset(
-            i - r for i in act.active_indices
-            if i >= r and abs(cbf.row(i)[0] @ x + cbf.row(i)[1]) <= 10 * ACTIVATION_TOL
+            i - r for i, v in zip(cbf.rows.ids, act.row_values.tolist())
+            if i >= r and i in act.active_indices and abs(v) <= 10 * ACTIVATION_TOL
         )
         if not binding:
             checks.append(SampleCheck(sid, x, act.active_indices, binding,
@@ -411,10 +390,7 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
         y_x = -x2 - gamma * x1 + gamma * y
         base = -G2p @ (f2 + gamma * x2)
         direction = G2p @ y_x
-        if isinstance(input_set, Unbounded):
-            beta = 1.0
-        else:
-            beta = _largest_beta(input_set, base, direction)
+        beta = _largest_beta(input_set, base, direction)
         u_x = base + beta * direction
         accel = gamma * x2 + f2 + G2 @ u_x
         A_bind = cbf.spec.A[sorted(binding)]

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientActuation, NoSplit, SingularInertia
-from .polytope import SafetySpec, contains, position_bounding_box
+from .polytope import SafetySpec, contains, eval_h_many, position_bounding_box
 
 GRAVITY = 9.8  # m/s^2
 
@@ -252,7 +252,7 @@ def _position_grid(spec: SafetySpec, resolution: int) -> np.ndarray:
     axes = [np.linspace(lo[j], hi[j], resolution) for j in range(spec.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts[[contains(spec, p) for p in pts]]
+    return pts[eval_h_many(spec, pts) >= 0.0]
 
 
 def _unit_directions(n: int, count: int) -> np.ndarray:

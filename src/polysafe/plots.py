@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .polytope import SafetySpec
+from .polytope import SafetySpec, max_min
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 62, 16, 34, 46  # margins
@@ -133,18 +133,12 @@ def term_vertices_2d(spec: SafetySpec, ell: int = 0) -> np.ndarray:
     """Vertices of a 2-D term polygon, ordered counterclockwise."""
     if spec.n != 2:
         raise ValueError("polygon overlay requires n = 2")
-    idx = list(spec.terms[ell])
-    A = spec.A[idx]
-    b = spec.offsets[idx]
-    verts = []
-    for i, j in itertools.combinations(range(len(idx)), 2):
-        M = A[[i, j]]
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        v = np.linalg.solve(M, -b[[i, j]])
-        if (A @ v + b >= -1e-9).all():
-            verts.append(v)
-    verts = np.unique(np.round(np.array(verts), 12), axis=0)
+    A, b, _ = spec.rows.term_rows(ell)
+    corners = np.array([np.linalg.solve(A[[i, j]], -b[[i, j]])
+                        for i, j in itertools.combinations(range(len(b)), 2)
+                        if abs(np.linalg.det(A[[i, j]])) >= 1e-12])
+    verts = corners[max_min(spec.rows, corners)[1][:, ell] >= -1e-9]
+    verts = np.unique(np.round(verts, 12), axis=0)
     center = verts.mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
     return verts[order]

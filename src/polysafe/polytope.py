@@ -49,8 +49,44 @@ class HalfSpace:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def eval(self, x1: np.ndarray) -> float:
-        return float(self.a @ x1 + self.b)
+
+class TermRows:
+    """Affine rows A @ x + b stacked term after term, built once.
+
+    Row k is row ids[k] of the originating family (half-space or extended
+    index) and belongs to term row_term[k]; term ell owns the rows
+    spans[ell], which start at starts[ell].  The arrays are read-only.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray,
+                 terms: tuple[tuple[int, ...], ...]):
+        ids = [i for t in terms for i in t]
+        self.A = np.array(A[ids], dtype=float)
+        self.b = np.array(b[ids], dtype=float)
+        self.ids = tuple(ids)
+        sizes = [len(t) for t in terms]
+        self.row_term = np.repeat(np.arange(len(terms)), sizes)
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.spans = tuple(range(s, s + k) for s, k in zip(self.starts.tolist(), sizes))
+        for arr in (self.A, self.b, self.row_term, self.starts):
+            arr.setflags(write=False)
+
+    def term_rows(self, ell: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(A, b, ids) of term ell, as read-only slices."""
+        s = self.spans[ell]
+        return self.A[s.start:s.stop], self.b[s.start:s.stop], self.ids[s.start:s.stop]
+
+
+def max_min(rows: TermRows, X: np.ndarray):
+    """(row values, per-term minima, max over terms) at X.
+
+    X is one point (shape (d,)) or a batch (N x d); the row values are
+    X @ A.T + b.  This is the one evaluation of both the position region h
+    and the extended barrier B.
+    """
+    vals = X @ rows.A.T + rows.b
+    mins = np.minimum.reduceat(vals, rows.starts, axis=-1)
+    return vals, mins, mins.max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +96,9 @@ class SafetySpec:
     `terms` lists, per union term, the 0-based indices of its
     half-spaces.  Every term must be a nonempty, feasible intersection,
     and distinct half-spaces must have linearly independent augmented
-    vectors (a_i, b_i).
+    vectors (a_i, b_i).  `A` (r x n) and `offsets` hold the half-spaces
+    in index order and `rows` the term rows stacked for `max_min`; all
+    are built once.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -84,29 +122,26 @@ class SafetySpec:
                 raise ValidationError(f"term index out of range 0..{r - 1}: {t}")
             if len(set(t)) != len(t):
                 raise ValidationError(f"duplicate index in term {t}")
-        aug = np.array([np.append(h.a, h.b) for h in hs])
+        A = np.array([h.a for h in hs])
+        offsets = np.array([h.b for h in hs])
+        aug = np.column_stack([A, offsets])
         for i, j in itertools.combinations(range(r), 2):
             if np.linalg.matrix_rank(aug[[i, j]], tol=1e-12) < 2:
                 raise ValidationError(
                     f"half-spaces {i} and {j} have dependent augmented vectors"
                 )
-        for li, t in enumerate(terms):
-            A = self.A[list(t)]
-            if lp_feasible_point(A, -self.offsets[list(t)]) is None:
+        for name, arr in (("A", A), ("offsets", offsets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rows", TermRows(A, offsets, terms))
+        for li in range(len(terms)):
+            At, bt, _ = self.rows.term_rows(li)
+            if lp_feasible_point(At, -bt) is None:
                 raise ValidationError(f"term {li} is an empty intersection")
 
     @property
     def r(self) -> int:
         return len(self.halfspaces)
-
-    @property
-    def A(self) -> np.ndarray:
-        """r x n matrix of half-space directions."""
-        return np.array([h.a for h in self.halfspaces])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([h.b for h in self.halfspaces])
 
     # --- serialization (1-based term indices on the wire) ---
 
@@ -148,35 +183,30 @@ class GeometryCert:
 
 def eval_h(spec: SafetySpec, x1: np.ndarray) -> float:
     """Max over terms of min over term members of a_i @ x1 + b_i."""
-    vals = spec.A @ np.asarray(x1, dtype=float) + spec.offsets
-    return float(max(min(vals[i] for i in t) for t in spec.terms))
+    return float(max_min(spec.rows, np.asarray(x1, dtype=float))[2])
 
 
 def eval_h_many(spec: SafetySpec, X: np.ndarray) -> np.ndarray:
     """Vectorized eval_h over rows of X (N x n)."""
-    vals = np.asarray(X, dtype=float) @ spec.A.T + spec.offsets
-    per_term = np.stack([vals[:, list(t)].min(axis=1) for t in spec.terms])
-    return per_term.max(axis=0)
+    return max_min(spec.rows, np.asarray(X, dtype=float))[2]
 
 
 def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def is_bounded(rows: list[HalfSpace]) -> bool:
-    """True iff the intersection of the rows is a bounded (and nonempty) set.
+def is_bounded(A: np.ndarray, b: np.ndarray) -> bool:
+    """True iff {x | A @ x + b >= 0} is a bounded (and nonempty) set.
 
-    Checks that the recession cone {z | a_i @ z >= 0} is {0} via 2k LPs
+    Checks that the recession cone {z | A @ z >= 0} is {0} via 2k LPs
     maximizing +-e_j @ z under a unit box.
     """
-    A = np.array([h.a for h in rows])
-    b = np.array([h.b for h in rows])
     if lp_feasible_point(A, -b) is None:
         raise EmptySet("half-space intersection is empty")
     k = A.shape[1]
     box_A = np.vstack([np.eye(k), -np.eye(k)])
     cone_A = np.vstack([A, box_A])
-    cone_b = np.concatenate([np.zeros(len(rows)), -np.ones(2 * k)])
+    cone_b = np.concatenate([np.zeros(len(b)), -np.ones(2 * k)])
     for j in range(k):
         for sign in (1.0, -1.0):
             c = np.zeros(k)
@@ -223,23 +253,18 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
     Ties across terms break toward the lowest term index.
     """
     I = frozenset(I)
+    idx_I = sorted(I)
+    n = spec.n
     best = None
     for t in spec.terms:
-        idx_I = sorted(I)
-        idx_t = sorted(t)
-        # variables (x, t_margin); maximize t_margin
-        n = spec.n
-        rows = []
-        rhs = []
-        for i in idx_I:
-            rows.append(np.append(spec.halfspaces[i].a, -1.0))
-            rhs.append(-spec.halfspaces[i].b)
-        for i in idx_t:
-            rows.append(np.append(spec.halfspaces[i].a, 0.0))
-            rhs.append(-spec.halfspaces[i].b)
+        # variables (x, t_margin); maximize t_margin with h_i(x) >= t_margin
+        # on I and h_i(x) >= 0 on the term
+        idx = idx_I + sorted(t)
+        margin_col = np.concatenate([-np.ones(len(idx_I)), np.zeros(len(t))])
         c = np.zeros(n + 1)
         c[-1] = 1.0
-        sol = lp_solve(LpProblem(c=c, A=np.array(rows), b=np.array(rhs)))
+        sol = lp_solve(LpProblem(c=c, A=np.column_stack([spec.A[idx], margin_col]),
+                                 b=-spec.offsets[idx]))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -264,8 +289,8 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     unbounded polytope, AssumptionViolated if a witness fails its strict
     margin.
     """
-    for li, t in enumerate(spec.terms):
-        if not is_bounded([spec.halfspaces[i] for i in t]):
+    for li in range(len(spec.terms)):
+        if not is_bounded(*spec.rows.term_rows(li)[:2]):
             raise UnboundedPositions(f"term {li} is unbounded")
     s_cap = enumerate_s_cap(spec)
     if overrides is not None and not isinstance(overrides, dict):
@@ -273,15 +298,16 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
         overrides = {I: point for I in s_cap}
     witnesses: dict[frozenset[int], np.ndarray] = {}
     delta = np.inf
-    for I in s_cap:
+    # each I as a term: its minimum at y is min over I of h_i(y)
+    index_rows = TermRows(spec.A, spec.offsets, tuple(sorted(I) for I in s_cap))
+    for ell, I in enumerate(s_cap):
         if overrides is not None and I in overrides:
             y = np.asarray(overrides[I], dtype=float)
-            margins = [spec.halfspaces[i].eval(y) for i in sorted(I)]
-            if min(margins) <= 0.0 or not contains(spec, y):
+            margin = float(max_min(index_rows, y)[1][ell])
+            if margin <= 0.0 or not contains(spec, y):
                 raise AssumptionViolated(
                     f"override witness for {sorted(I)} lacks a positive margin"
                 )
-            margin = min(margins)
         else:
             y, margin = max_min_point(spec, I)
         witnesses[I] = y
@@ -299,14 +325,13 @@ def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) axis-aligned bounds of the safety set (LPs per term and axis)."""
     lo = np.full(spec.n, np.inf)
     hi = np.full(spec.n, -np.inf)
-    for t in spec.terms:
-        A = spec.A[list(t)]
-        b = -spec.offsets[list(t)]
+    for ell in range(len(spec.terms)):
+        A, b, _ = spec.rows.term_rows(ell)
         for j in range(spec.n):
             c = np.zeros(spec.n)
             c[j] = 1.0
             for sign in (1.0, -1.0):
-                sol = lp_solve(LpProblem(c=sign * c, A=A, b=b))
+                sol = lp_solve(LpProblem(c=sign * c, A=A, b=-b))
                 if not sol.optimal:
                     raise UnboundedPositions("term unbounded while computing bounds")
                 v = sol.x[j]

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbf import ExtendedCbf, eval_B
-from .errors import Infeasible, NotPositiveDefinite, NumericalBreakdown
+from .errors import (
+    Infeasible,
+    NotPositiveDefinite,
+    NumericalBreakdown,
+    ParameterViolation,
+)
 from .inputs import Unbounded
 from .lp import LpProblem, lp_solve
 from .plant import rk4_step
@@ -62,21 +67,24 @@ class QpSolution:
         return self.status == "optimal"
 
 
-def _feasible_start(G: np.ndarray, h: np.ndarray, hints) -> np.ndarray | None:
-    """A point with G z <= h, from hints or a phase-1 LP; None if empty."""
-    for z in hints:
-        if z is not None and (G @ z <= h + 1e-11).all():
-            return np.asarray(z, dtype=float)
+def _feasible_start(G: np.ndarray, h: np.ndarray, hint):
+    """(z, phase-1 LP solution) with G z <= h; z is None if the set is empty.
+
+    A feasible hint is returned as is, with no LP solution.  Otherwise the
+    LP max t s.t. G z + t <= h, t <= 1 decides: the set is empty iff its
+    optimal t < 0, and then its dual is a Farkas certificate.
+    """
+    if hint is not None and (G @ hint <= h + 1e-11).all():
+        return np.asarray(hint, dtype=float), None
     nz = G.shape[1]
-    # max t s.t. G z + t <= h, t <= 1  (feasible iff optimal t >= 0)
     A = np.vstack([np.hstack([-G, -np.ones((G.shape[0], 1))]),
                    np.append(np.zeros(nz), -1.0)])
     b = np.concatenate([-h, [-1.0]])
     c = np.append(np.zeros(nz), 1.0)
     sol = lp_solve(LpProblem(c=c, A=A, b=b))
     if not sol.optimal or sol.objective < -1e-10:
-        return None
-    return sol.x[:nz]
+        return None, sol
+    return sol.x[:nz], sol
 
 
 def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
@@ -89,16 +97,14 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
-    z = _feasible_start(G, h, [start]) if G.size else (
-        start if start is not None else np.zeros(nz))
-    if G.size and z is None:
-        # Farkas-type certificate: y >= 0 with y @ G = 0, y @ h < 0
-        A = np.vstack([np.hstack([-G, -np.ones((G.shape[0], 1))]),
-                       np.append(np.zeros(nz), -1.0)])
-        b = np.concatenate([-h, [-1.0]])
-        sol = lp_solve(LpProblem(c=np.append(np.zeros(nz), 1.0), A=A, b=b))
-        return QpSolution(status="infeasible",
-                          farkas=None if sol.dual is None else sol.dual[:-1])
+    if G.size:
+        z, phase1 = _feasible_start(G, h, start)
+        if z is None:
+            # Farkas-type certificate: y >= 0 with y @ G = 0, y @ h < 0
+            return QpSolution(status="infeasible", farkas=(
+                None if phase1.dual is None else phase1.dual[:-1]))
+    else:
+        z = start if start is not None else np.zeros(nz)
 
     work: list[int] = []
     lam_w = np.zeros(0)
@@ -227,7 +233,8 @@ class SafeguardAssembler:
     held step Phi(x, u) = rk4_step(plant, u, x, dt).  B_i is affine, so the
     row then bounds the change of B_i over the step: the maximizing term
     gives B(x+) >= (1 - alpha dt) B(x), which keeps B >= 0 at the samples
-    of a sample-and-hold loop, not only as dt -> 0, while alpha dt <= 1.
+    of a sample-and-hold loop, not only as dt -> 0, while alpha dt <= 1:
+    the QP bounds alpha by 1/dt, and c_alpha dt > 1 is rejected.
     The candidate u_nom is checked against the exact rate; the QP uses Phi
     linearized in u at the previous optimizer (warm start) or at u_nom,
     with its input sensitivity correct to second order in dt.
@@ -238,20 +245,29 @@ class SafeguardAssembler:
                  dt: float | None = None):
         if dt is not None and not dt > 0:
             raise ValueError("dt must be positive")
+        if dt is not None and weights.c_alpha * dt > 1.0:
+            raise ParameterViolation(
+                f"c_alpha * dt = {weights.c_alpha * dt:.6g} exceeds 1; the held "
+                "step keeps B >= 0 only while alpha * dt <= 1")
         self.cbf = cbf
         self.plant = plant
         self.weights = weights
         self.input_set = input_set if input_set is not None else Unbounded()
         self.feasibility_margin = feasibility_margin
         self.dt = dt
-        self.m = plant.m
-        terms = [cbf.term_rows(ell) for ell in range(len(cbf.spec.terms))]
-        self.row_labels = tuple((ell, i) for ell, (_, _, ids) in enumerate(terms)
-                                for i in ids)
-        self._term = np.array([ell for ell, _ in self.row_labels])
-        self._grad = np.vstack([A for A, _, _ in terms])      # nrows x 2n
-        self._offset = np.concatenate([b for _, b, _ in terms])
-        self._Gu_rows, self._hu = self.input_set.rows(self.m)
+        self.m = m = plant.m
+        self.row_labels = tuple(zip(cbf.rows.row_term.tolist(), cbf.rows.ids))
+        self._Gu_rows, self._hu = self.input_set.rows(m)
+        # the QP's rows G z <= h after the barrier rows: alpha >= c_alpha,
+        # M >= c_M, with a hold period alpha <= 1/dt, then the input set
+        bounds = [(m, -1.0, -weights.c_alpha), (m + 1, -1.0, -weights.c_M)]
+        if dt is not None:
+            bounds.append((m, 1.0, 1.0 / dt))
+        self._G_fixed = np.zeros((len(bounds) + len(self._hu), m + 2))
+        for k, (j, g, _) in enumerate(bounds):
+            self._G_fixed[k, j] = g
+        self._G_fixed[len(bounds):, :m] = self._Gu_rows
+        self._h_fixed = np.concatenate([[b for _, _, b in bounds], self._hu])
         self._warm = None
 
     def _instant_rate(self, x: np.ndarray):
@@ -289,14 +305,15 @@ class SafeguardAssembler:
         the input the held step is linearized at.
         """
         w, m, dt = self.weights, self.m, self.dt
+        rows = self.cbf.rows
         x = np.asarray(x, dtype=float)
         act = eval_B(self.cbf, x)
         if act.value < -self.feasibility_margin:
             raise Infeasible(
                 f"state outside the feasibility neighborhood (B = {act.value:.4g})"
             )
-        Bi = self._grad @ x + self._offset
-        lift = act.value - np.array([act.per_term_min[ell] for ell in self._term])
+        Bi = act.row_values
+        lift = act.value - act.per_term_min[rows.row_term]
         Qx = w.Q_at(x, m)
         if u_nom is not None:
             u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
@@ -314,7 +331,7 @@ class SafeguardAssembler:
             rate = d + S @ u_center
         else:
             rate = (rk4_step(self.plant, u_center, x, dt) - x) / dt
-        margins = self._grad @ rate + w.c_alpha * Bi + w.c_M * lift
+        margins = rows.A @ rate + w.c_alpha * Bi + w.c_M * lift
         if ((margins >= -1e-11).all()
                 and (self._Gu_rows @ u_center <= self._hu + 1e-11).all()):
             if warm_start:
@@ -328,22 +345,10 @@ class SafeguardAssembler:
             warm = warm_start and self._warm is not None
             d, S = self._held_rate(x, self._warm[:m] if warm else u_center)
         # rows coef @ z + const >= 0 over z = (u, alpha, M)
-        nb = len(self.row_labels)
-        coef = np.column_stack([self._grad @ S, Bi, lift])
-        const = self._grad @ d
-
-        # rows in G z <= h form
-        G = np.zeros((nb + 2 + self._Gu_rows.shape[0], m + 2))
-        h = np.zeros(G.shape[0])
-        G[:nb] = -coef
-        h[:nb] = const
-        G[nb, m] = -1.0
-        h[nb] = -w.c_alpha
-        G[nb + 1, m + 1] = -1.0
-        h[nb + 1] = -w.c_M
-        if self._Gu_rows.size:
-            G[nb + 2:, :m] = self._Gu_rows
-            h[nb + 2:] = self._hu
+        coef = np.column_stack([rows.A @ S, Bi, lift])
+        const = rows.A @ d
+        G = np.vstack([-coef, self._G_fixed])
+        h = np.concatenate([const, self._h_fixed])
 
         P = np.zeros((m + 2, m + 2))
         P[:m, :m] = 2.0 * Qx

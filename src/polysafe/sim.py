@@ -17,7 +17,7 @@ import numpy as np
 from .cbf import ExtendedCbf, VelocityCert, eval_B, eval_B_many
 from .errors import Infeasible, NonFinite, QpInfeasibleAt
 from .plant import PlantModel, rk4_step
-from .polytope import eval_h
+from .polytope import eval_h, eval_h_many
 from .qp import QpWeights, SafeguardAssembler
 
 
@@ -156,8 +156,6 @@ def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf,
                                 else velocity_cert.norm_bound)
     n = cbf.n
     Bvals = eval_B_many(cbf, log.x)
-    from .polytope import eval_h_many
-
     hvals = eval_h_many(cbf.spec, log.x[:, :n])
     speeds = np.linalg.norm(log.x[:, n:], axis=1)
     bviol = np.flatnonzero(Bvals < -tol)

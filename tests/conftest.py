@@ -1,5 +1,6 @@
 """Shared fixtures; the long closed-loop runs are session-scoped."""
 
+import json
 import time
 
 import numpy as np
@@ -15,6 +16,18 @@ def _timed(name, thunk):
     result = thunk()
     RUNTIMES[name] = time.perf_counter() - tic
     return result
+
+
+# criterion number -> measured values, bounds and verdict, filled in by
+# tests/test_acceptance.py and written to acceptance.json in the rootdir
+ACCEPTANCE: dict[int, dict] = {}
+
+
+def pytest_sessionfinish(session):
+    if ACCEPTANCE:
+        record = {"criteria": [ACCEPTANCE[k] for k in sorted(ACCEPTANCE)]}
+        (session.config.rootpath / "acceptance.json").write_text(
+            json.dumps(record, indent=2) + "\n")
 
 from polysafe.cbf import build
 from polysafe.inputs import Unbounded

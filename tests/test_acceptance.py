@@ -1,6 +1,8 @@
 """End-to-end acceptance gate: one test (and one pass/fail line) per
-criterion.  Each test prints a summary line with the measured numbers."""
+criterion.  Each test prints a summary line with the measured numbers and
+records them, with their bounds and the verdict, for acceptance.json."""
 
+import operator
 import time
 
 import numpy as np
@@ -12,7 +14,7 @@ from _oracles import (
     sample_extended_states,
     sample_safe_positions,
 )
-from conftest import RUNTIMES
+from conftest import ACCEPTANCE, RUNTIMES
 from polysafe.cbf import (
     build,
     eval_B_many,
@@ -28,7 +30,21 @@ from polysafe.qp import QpProblem, solve_qp
 from polysafe.sim import rk4_step
 
 
-def _line(num, ok, detail):
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+def _line(num, detail, *checks):
+    """Print criterion num's PASS/FAIL line and record it for acceptance.json.
+
+    Each check is (what, measured, relation, bound); the criterion passes
+    when every check holds.
+    """
+    results = [{"what": what, "measured": float(value), "relation": rel,
+                "bound": float(bound), "pass": bool(_RELATIONS[rel](value, bound))}
+               for what, value, rel, bound in checks]
+    ok = all(r["pass"] for r in results)
+    ACCEPTANCE[num] = {"criterion": num, "verdict": "PASS" if ok else "FAIL",
+                       "detail": detail, "checks": results}
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
@@ -38,8 +54,8 @@ def test_criterion_1_interior_margin_reproduction():
     cert = compute_cert(spec, overrides=np.zeros(2))
     elapsed = time.perf_counter() - tic
     err = abs(cert.delta - np.pi / 2)
-    ok = err <= 1e-12 and elapsed < 1.0
-    _line(1, ok, f"delta error {err:.3g}, {elapsed:.2f} s")
+    _line(1, f"delta error {err:.3g}, {elapsed:.2f} s",
+          ("delta error", err, "<=", 1e-12), ("seconds", elapsed, "<", 1.0))
     assert err <= 1e-12
     assert elapsed < 1.0
 
@@ -52,9 +68,10 @@ def test_criterion_2_no_positions_lost(hexagon_cbf):
     states = sample_extended_states(hexagon_cbf, 10000, seed=2)
     min_h = float(eval_h_many(hexagon_cbf.spec, states[:, :2]).min())
     elapsed = time.perf_counter() - tic
-    ok = min_B >= 0.0 and min_h >= 0.0 and elapsed < 10.0
-    _line(2, ok, f"lifted min B {min_B:.3g}, projected min h {min_h:.3g}, "
-                 f"{elapsed:.1f} s")
+    _line(2, f"lifted min B {min_B:.3g}, projected min h {min_h:.3g}, "
+             f"{elapsed:.1f} s",
+          ("lifted min B", min_B, ">=", 0.0), ("projected min h", min_h, ">=", 0.0),
+          ("seconds", elapsed, "<", 10.0))
     assert min_B >= 0.0
     assert min_h >= 0.0
     assert elapsed < 10.0
@@ -74,9 +91,10 @@ def test_criterion_3_velocity_bound_scaling(hexagon, hexagon_cert):
             worst_rel = max(worst_rel, rel)
     analytic = velocity_bound(build(slab, slab_cert, 3.0, 0.2))
     analytic_err = abs(analytic.per_component_bound - (2 * 3.0 - 0.2))
-    ok = worst_rel <= 1e-9 and analytic_err <= 1e-9
-    _line(3, ok, f"worst relative scaling error {worst_rel:.3g}, "
-                 f"analytic error {analytic_err:.3g}")
+    _line(3, f"worst relative scaling error {worst_rel:.3g}, "
+             f"analytic error {analytic_err:.3g}",
+          ("worst relative scaling error", worst_rel, "<=", 1e-9),
+          ("analytic error", analytic_err, "<=", 1e-9))
     assert worst_rel <= 1e-9
     assert analytic_err <= 1e-9
 
@@ -92,9 +110,10 @@ def test_criterion_4_qp_oracle_equivalence():
         assert sol.optimal and ref is not None
         worst_obj = max(worst_obj, abs(sol.objective - ref[1]))
         worst_kkt = max(worst_kkt, max(sol.residuals.values()))
-    ok = worst_obj <= 1e-6 and worst_kkt <= 1e-8
-    _line(4, ok, f"worst objective gap {worst_obj:.3g}, "
-                 f"worst KKT residual {worst_kkt:.3g}")
+    _line(4, f"worst objective gap {worst_obj:.3g}, "
+             f"worst KKT residual {worst_kkt:.3g}",
+          ("worst objective gap", worst_obj, "<=", 1e-6),
+          ("worst KKT residual", worst_kkt, "<=", 1e-8))
     assert worst_obj <= 1e-6
     assert worst_kkt <= 1e-8
 
@@ -103,9 +122,10 @@ def test_criterion_5_closed_loop_dichotomy(safeguarded_log, nominal_log):
     min_B = float(safeguarded_log.B.min())
     min_h = float(nominal_log.h.min())
     elapsed = RUNTIMES["safeguarded_log"] + RUNTIMES["nominal_log"]
-    ok = min_B >= -1e-6 and min_h < 0.0 and elapsed < 60.0
-    _line(5, ok, f"safeguarded min B {min_B:.4g}, "
-                 f"unfiltered min h {min_h:.4g}, {elapsed:.1f} s")
+    _line(5, f"safeguarded min B {min_B:.4g}, "
+             f"unfiltered min h {min_h:.4g}, {elapsed:.1f} s",
+          ("safeguarded min B", min_B, ">=", -1e-6),
+          ("unfiltered min h", min_h, "<", 0.0), ("seconds", elapsed, "<", 60.0))
     assert min_h < 0.0
     assert elapsed < 60.0
     assert min_B >= -1e-6
@@ -129,10 +149,12 @@ def test_criterion_6_gamma_sweep_monotonicity(hexagon, hexagon_cert, arm,
     elapsed = time.perf_counter() - tic
     u_small, v_small = maxima[0.1]
     u_large, v_large = maxima[1.0]
-    ok = u_small < u_large and v_small < v_large and elapsed < 120.0
-    _line(6, ok, f"max input {u_small:.3g} vs {u_large:.3g}, "
-                 f"max velocity {v_small:.3g} vs {v_large:.3g}, "
-                 f"{elapsed:.0f} s")
+    _line(6, f"max input {u_small:.3g} vs {u_large:.3g}, "
+             f"max velocity {v_small:.3g} vs {v_large:.3g}, "
+             f"{elapsed:.0f} s",
+          ("max input at gamma 0.1 (bound: at gamma 1)", u_small, "<", u_large),
+          ("max velocity at gamma 0.1 (bound: at gamma 1)", v_small, "<", v_large),
+          ("seconds", elapsed, "<", 120.0))
     assert u_small < u_large
     assert v_small < v_large
     assert elapsed < 120.0
@@ -152,10 +174,14 @@ def test_criterion_7_boundary_condition_end_to_end(hexagon_cbf, hexagon,
     Xg = sample_boundary(cbf, 1000, seed=7)
     ball = verify_safety_condition(cbf, gravity_arm, PolytopicBall(d), Xg)
     elapsed = time.perf_counter() - tic + RUNTIMES["gravity_constants"]
-    ok = full.all_feasible and ball.all_feasible and elapsed < 60.0
-    _line(7, ok, f"full actuation worst margin {full.worst_margin:.3g}, "
-                 f"bounded-input worst margin {ball.worst_margin:.3g}, "
-                 f"gamma {gamma:.4g}, {elapsed:.0f} s")
+    _line(7, f"full actuation worst margin {full.worst_margin:.3g}, "
+             f"bounded-input worst margin {ball.worst_margin:.3g}, "
+             f"gamma {gamma:.4g}, {elapsed:.0f} s",
+          ("full-actuation infeasible samples",
+           sum(not c.feasible for c in full.checks), "<=", 0),
+          ("bounded-input infeasible samples",
+           sum(not c.feasible for c in ball.checks), "<=", 0),
+          ("seconds", elapsed, "<", 60.0))
     assert full.all_feasible
     assert ball.all_feasible
     assert elapsed < 60.0
@@ -185,7 +211,8 @@ def test_criterion_8_integrator_order_and_energy(arm, arm_params):
     for _ in range(10000):
         x = rk4_step(arm, np.zeros(2), x, 1e-3)
         drift = max(drift, abs(energy(x) - e0))
-    ok = abs(ratio - 16.0) <= 2.0 and drift < 1e-6
-    _line(8, ok, f"convergence ratio {ratio:.2f}, energy drift {drift:.3g}")
+    _line(8, f"convergence ratio {ratio:.2f}, energy drift {drift:.3g}",
+          ("|convergence ratio - 16|", abs(ratio - 16.0), "<=", 2.0),
+          ("energy drift", drift, "<", 1e-6))
     assert ratio == pytest.approx(16.0, abs=2.0)
     assert drift < 1e-6

@@ -20,7 +20,7 @@ from polysafe.cbf import (
     verify_safety_condition,
 )
 from polysafe.errors import NotInC, ParameterViolation
-from polysafe.inputs import Box, Unbounded
+from polysafe.inputs import Box, PolytopicBall, Unbounded
 from polysafe.polytope import compute_cert, hexagon_spec, slab_spec
 
 
@@ -96,7 +96,13 @@ def test_barrier_union_is_max_of_terms(pt):
     for ell in range(2):
         A, b, _ = cbf.term_rows(ell)
         vals.append((A @ x + b).min())
-    assert eval_B(cbf, x).value == pytest.approx(max(vals), abs=1e-12)
+    act = eval_B(cbf, x)
+    assert act.value == pytest.approx(max(vals), abs=1e-12)
+    # the stacked row values and term minima, against the row definitions
+    np.testing.assert_allclose(act.per_term_min, vals, rtol=0, atol=1e-12)
+    naive = [cbf.row(i)[0] @ x + cbf.row(i)[1] for ids in cbf.extended_terms
+             for i in ids]
+    np.testing.assert_allclose(act.row_values, naive, rtol=0, atol=1e-12)
 
 
 # --- lift ---------------------------------------------------------------------
@@ -124,6 +130,21 @@ def test_lift_keeps_thousand_positions_safe(hexagon_cbf):
 def test_extended_terms_are_compact(hexagon_cbf, slab_cbf):
     assert check_compactness(hexagon_cbf)
     assert check_compactness(slab_cbf)
+
+
+def test_compactness_accepts_a_zero_offset_companion_row():
+    # the interval [-0.5, 10] has delta = 5.25; with gamma = 1, epsilon = 0.5
+    # the companion of x + 0.5 >= 0 has offset gamma * 0.5 - epsilon = 0
+    from polysafe.polytope import HalfSpace, SafetySpec
+
+    spec = SafetySpec(halfspaces=(HalfSpace(np.array([1.0]), 0.5),
+                                  HalfSpace(np.array([-1.0]), 10.0)),
+                      terms=((0, 1),), n=1)
+    cert = compute_cert(spec)
+    assert cert.delta == pytest.approx(5.25, abs=1e-9)
+    cbf = build(spec, cert, 1.0, 0.5)
+    assert cbf.row(2)[1] == 0.0
+    assert check_compactness(cbf)
 
 
 def test_velocity_bound_slab_analytic(slab, slab_cert):
@@ -183,6 +204,30 @@ def test_condition_infeasible_under_tiny_input_box(hexagon_cbf, arm):
     report = verify_safety_condition(hexagon_cbf, arm,
                                      Box(np.array([1e-6, 1e-6])), X)
     assert not report.all_feasible
+
+
+def test_largest_beta_against_analytic_values():
+    from polysafe.cbf import _largest_beta
+
+    # the bisection brackets beta to 2^-20 of its initial bracket
+    def approx(value):
+        return pytest.approx(value, rel=1e-5)
+
+    box = Box(np.array([2.0, 3.0]))
+    assert _largest_beta(box, np.zeros(2), np.array([1.0, 1.0])) == approx(2.0)
+    assert _largest_beta(box, np.array([1.0, 0.0]), np.array([0.0, -2.0])) == approx(1.5)
+    assert _largest_beta(box, np.array([3.0, 0.0]), np.array([1.0, 0.0])) == 0.0
+    # 16-gon inscribed in the radius-2 circle: apothem 2 cos(pi/16) along a
+    # facet normal, the full radius along a vertex direction
+    ball = PolytopicBall(2.0)
+    assert _largest_beta(ball, np.zeros(2), np.array([0.5, 0.0])) == approx(
+        4.0 * np.cos(np.pi / 16))
+    vertex = np.array([np.cos(np.pi / 16), np.sin(np.pi / 16)])
+    assert _largest_beta(ball, np.zeros(2), vertex) == approx(2.0)
+    assert _largest_beta(ball, np.array([1.0]), np.array([-4.0])) == approx(0.75)
+    # no row limits beta: U = R^m, or a zero direction
+    assert _largest_beta(Unbounded(), np.zeros(2), np.array([1.0, 1.0])) == 1.0
+    assert _largest_beta(box, np.array([1.0, 1.0]), np.zeros(2)) == 1.0
 
 
 def test_condition_report_csv(tmp_path, hexagon_cbf, arm):

@@ -43,6 +43,20 @@ def test_construct_success(tmp_path, specfile, capsys):
     assert (tmp_path / "out" / "cbf.json").exists()
 
 
+def test_construct_zero_offset_companion_row_exit_0(tmp_path):
+    # interval [-0.5, 10], delta = 5.25: at gamma = 1, epsilon = 0.5 one
+    # velocity companion row has a zero offset, which is a valid barrier
+    spec = {"n": 1, "halfspaces": [{"a": [1.0], "b": 0.5},
+                                   {"a": [-1.0], "b": 10.0}],
+            "terms": [[1, 2]]}
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps(spec))
+    code = main(["construct", str(path), "--gamma", "1", "--epsilon", "0.5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "cbf.json").exists()
+
+
 def test_construct_parameter_violation_exit_2(tmp_path, specfile):
     code = main(["construct", str(specfile), "--gamma", "0.01",
                  "--epsilon", "1", "--out", str(tmp_path)])
@@ -115,6 +129,16 @@ def test_simulate_writes_csv_and_plots(tmp_path, specfile):
                  "barrier.svg"):
         svg = (out / name).read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_simulate_alpha_dt_above_one_exit_2(tmp_path, specfile):
+    # the held-step filter needs c_alpha * dt <= 1: here 2000 * 1e-3 = 2
+    scenario = _scenario(tmp_path, specfile,
+                         controller={"mode": "safeguarded", "nominal": "tracking",
+                                     "weights": {"c_alpha": 2000.0}})
+    code = main(["simulate", str(scenario), "--out", str(tmp_path / "r"),
+                 "--skip-verify"])
+    assert code == 2
 
 
 def test_simulate_runtime_infeasibility_exit_5(tmp_path, specfile):

@@ -109,32 +109,32 @@ def test_eval_h_many_matches_scalar(pt):
 # --- boundedness --------------------------------------------------------------
 
 def test_is_bounded_hexagon(hexagon):
-    assert is_bounded(list(hexagon.halfspaces))
+    assert is_bounded(hexagon.A, hexagon.offsets)
 
 
 def test_is_bounded_false_for_halfplane():
-    assert not is_bounded([_hs([1.0, 0.0], 1.0)])
+    assert not is_bounded(np.array([[1.0, 0.0]]), np.array([1.0]))
 
 
 def test_is_bounded_false_for_parallel_slab_2d():
-    assert not is_bounded([_hs([1.0, 0.0], 1.0), _hs([-1.0, 0.0], 1.0)])
+    assert not is_bounded(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
 
 
 def test_is_bounded_true_for_interval():
-    assert is_bounded([_hs([1.0], 1.0), _hs([-1.0], 1.0)])
+    assert is_bounded(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
 
 
 def test_is_bounded_raises_on_empty():
     with pytest.raises(EmptySet):
-        is_bounded([_hs([1.0], -2.0), _hs([-1.0], -2.0)])
+        is_bounded(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
 
 
 def test_is_bounded_square_vs_dropped_row():
-    square = [_hs([1.0, 0.0], 1.0), _hs([-1.0, 0.0], 1.0),
-              _hs([0.0, 1.0], 1.0), _hs([0.0, -1.0], 1.0)]
-    assert is_bounded(square)
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert is_bounded(square, np.ones(4))
     for k in range(4):
-        assert not is_bounded(square[:k] + square[k + 1:])
+        kept = np.delete(np.arange(4), k)
+        assert not is_bounded(square[kept], np.ones(3))
 
 
 # --- index-set enumeration ----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import qp_bruteforce, random_qp
 from polysafe.cbf import build, eval_B
-from polysafe.errors import Infeasible, NotPositiveDefinite
+from polysafe.errors import Infeasible, NotPositiveDefinite, ParameterViolation
 from polysafe.inputs import Box, Unbounded
 from polysafe.plant import double_integrator
 from polysafe.polytope import compute_cert, slab_spec
@@ -38,11 +38,23 @@ def test_projection_onto_halfplane():
     assert sol.lam[0] > 0
 
 
-def test_infeasible_detected():
+def test_infeasible_detected(monkeypatch):
+    import polysafe.qp
+
+    lp_calls = []
+    lp_solve = polysafe.qp.lp_solve
+    monkeypatch.setattr(polysafe.qp, "lp_solve",
+                        lambda p: lp_calls.append(p) or lp_solve(p))
     G = np.array([[1.0], [-1.0]])
     h = np.array([-1.0, -1.0])  # z <= -1 and z >= 1
     sol = solve_qp(QpProblem(P=np.array([[2.0]]), c=np.zeros(1), G=G, h=h))
     assert sol.status == "infeasible"
+    # one phase-1 LP decides infeasibility and its dual is the certificate
+    assert len(lp_calls) == 1
+    y = sol.farkas
+    assert (y >= 0.0).all()
+    assert np.abs(y @ G).max() <= 1e-9
+    assert y @ h < 0.0
 
 
 def test_not_positive_definite_rejected():
@@ -165,6 +177,26 @@ def test_held_step_rows_bound_B_at_the_next_sample(slab_cbf, slab_weights):
                         u_nom=np.array([5.0]))
     assert not held.fast_path
     assert eval_B(slab_cbf, rk4_step(plant, instant.u_star, x, dt)).value < -1e-4
+
+
+def test_held_step_keeps_alpha_dt_at_most_one(slab_cbf):
+    # B(x+) >= (1 - alpha* dt) B(x) protects B only while alpha* dt <= 1.
+    # From B = 0.05 with u_nom = 50 at dt = 0.05, c_alpha = 30 forces
+    # alpha* dt >= 1.5 (one step lands at B = -0.025), so it is rejected;
+    # a cheap alpha (q_alpha = 1e-2, alpha* = 195 without the cap) stops
+    # at 1/dt and the step ends on B >= 0
+    plant = double_integrator(1)
+    dt = 0.05
+    x = np.array([0.95, -0.5])
+    with pytest.raises(ParameterViolation):
+        SafeguardAssembler(slab_cbf, plant, QpWeights(c_alpha=30.0), Unbounded(),
+                           dt=dt)
+    asm = SafeguardAssembler(slab_cbf, plant, QpWeights(c_alpha=1.0, q_alpha=1e-2),
+                             Unbounded(), dt=dt)
+    res = asm.solve(x, u_nom=np.array([50.0]))
+    assert eval_B(slab_cbf, x).value == pytest.approx(0.05, abs=1e-12)
+    assert res.alpha_star <= 1.0 / dt + 1e-9
+    assert eval_B(slab_cbf, rk4_step(plant, res.u_star, x, dt)).value >= -1e-12
 
 
 def test_held_step_model_matches_rk4_to_second_order(hexagon_cbf, arm):
