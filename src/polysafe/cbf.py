@@ -22,7 +22,7 @@ from .errors import (
     PolysafeError,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
-from .polytope import GeometryCert, SafetySpec, TermRows, is_bounded, max_min
+from .polytope import GeometryCert, SafetySpec, TermRows, extents, is_bounded, max_min
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -44,8 +44,8 @@ class ExtendedCbf:
     epsilon: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.epsilon <= 0:
-            raise ParameterViolation("gamma and epsilon must be positive")
+        if not (0.0 < self.gamma < np.inf and 0.0 < self.epsilon < np.inf):
+            raise ParameterViolation("gamma and epsilon must be positive and finite")
         if self.gamma * self.cert.delta <= self.epsilon:
             raise ParameterViolation(
                 f"gamma*delta = {self.gamma * self.cert.delta:.6g} must exceed "
@@ -231,35 +231,28 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
 
 
 def check_compactness(cbf: ExtendedCbf) -> bool:
-    """True iff every extended term is a bounded polytope.
+    """True iff every extended term is a bounded polytope (finite extents).
 
     With bounded position terms this must hold; a bounded-position,
     unbounded-extended disagreement indicates an internal inconsistency.
     """
-    for ell in range(len(cbf.spec.terms)):
-        if not is_bounded(*cbf.term_rows(ell)[:2]):
-            if cbf.cert.proj_bounded:
-                raise PolysafeError(
-                    f"extended term {ell} unbounded despite bounded positions"
-                )
-            return False
-    return True
+    unbounded = [ell for ell in range(len(cbf.spec.terms))
+                 if not is_bounded(*cbf.term_rows(ell)[:2])]
+    if unbounded and cbf.cert.proj_bounded:
+        raise PolysafeError(
+            f"extended terms {unbounded} unbounded despite bounded positions")
+    return not unbounded
 
 
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
-    """LP maximization of |x2_j| over every extended term."""
+    """Largest |x2_j| over every extended term: its velocity extents."""
     n = cbf.n
     bound = 0.0
     for ell in range(len(cbf.spec.terms)):
-        A, b, _ = cbf.term_rows(ell)
-        for j in range(n):
-            c = np.zeros(2 * n)
-            c[n + j] = 1.0
-            for sign in (1.0, -1.0):
-                sol = lp_solve(LpProblem(c=sign * c, A=A, b=-b))
-                if not sol.optimal:
-                    raise PolysafeError(f"velocity LP not optimal: {sol.status}")
-                bound = max(bound, abs(sol.objective))
+        lo, hi = extents(*cbf.term_rows(ell)[:2], coords=range(n, 2 * n))
+        bound = max(bound, np.abs(lo).max(), np.abs(hi).max())
+    if not np.isfinite(bound):
+        raise PolysafeError("velocity unbounded over an extended term")
     norm_bound = np.sqrt(n) * bound
     return VelocityCert(gamma=cbf.gamma, epsilon=cbf.epsilon,
                         per_component_bound=float(bound),

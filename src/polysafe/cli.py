@@ -36,7 +36,7 @@ from .errors import (
     UnboundedPositions,
     ValidationError,
 )
-from .inputs import Unbounded, input_set_from_dict
+from .inputs import input_set_from_dict
 from .plant import (
     ArmParams,
     SineReference,
@@ -97,6 +97,13 @@ def _plant_from_config(cfg: dict):
     raise UsageError(f"unknown plant type {kind!r}")
 
 
+def _input_set_from_config(ctrl: dict):
+    try:
+        return input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
+    except ValueError as exc:
+        raise UsageError(f"controller.input_set: {exc}") from exc
+
+
 def _nominal_from_config(cfg: dict, params):
     kind = cfg.get("nominal", "zero")
     if kind == "zero":
@@ -128,8 +135,11 @@ def _load_scenario(path, seed_override=None):
                 float(cbf_cfg.get("epsilon", cert.delta / 2)))
     plant, params = _plant_from_config(raw.get("plant", {}))
     ctrl = raw.get("controller", {})
-    weights = QpWeights(**ctrl.get("weights", {}))
-    input_set = input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
+    try:
+        weights = QpWeights(**ctrl.get("weights", {}))
+    except TypeError as exc:
+        raise UsageError(f"controller.weights: {exc}") from exc
+    input_set = _input_set_from_config(ctrl)
     seed = seed_override if seed_override is not None else int(raw.get("seed", 42))
     sc = Scenario(
         cbf=cbf,
@@ -183,8 +193,7 @@ def cmd_verify(args) -> int:
     cbf = cbf_from_dict(_load_json(args.cbffile))
     raw = _load_json(args.scenariofile)
     plant, _ = _plant_from_config(raw.get("plant", {}))
-    ctrl = raw.get("controller", {})
-    input_set = input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
+    input_set = _input_set_from_config(raw.get("controller", {}))
     seed = args.seed if args.seed is not None else int(raw.get("seed", 42))
     if args.samples == 0:
         print("warning: 0 samples requested; condition vacuously verified")

@@ -12,6 +12,7 @@ potential term for input-bound experiments.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -247,8 +248,8 @@ def nominal_tracking(params: ArmParams,
     return controller
 
 
-def _position_grid(spec: SafetySpec, resolution: int) -> np.ndarray:
-    lo, hi = position_bounding_box(spec)
+def _position_grid(spec: SafetySpec, lo: np.ndarray, hi: np.ndarray,
+                   resolution: int) -> np.ndarray:
     axes = [np.linspace(lo[j], hi[j], resolution) for j in range(spec.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -305,9 +306,9 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     """
     if not plant.has_split:
         raise NoSplit("plant lacks the potential/velocity decomposition")
-    grid = _position_grid(spec, resolution)
-    dirs = _unit_directions(plant.n, n_directions)
     lo, hi = position_bounding_box(spec)
+    grid = _position_grid(spec, lo, hi, resolution)
+    dirs = _unit_directions(plant.n, n_directions)
     spacing = (hi - lo) / max(resolution - 1, 1)
     in_c = lambda x1: contains(spec, x1)
 
@@ -332,11 +333,11 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
         vG = f_kG(x1)
         if vG > kG:
             kG, x1_kG = vG, x1
-        for d in dirs:
-            z = np.concatenate([x1, d])
-            k2_top.append((f_k2(z), z))
-            k2_top.sort(key=lambda t: -t[0])
-            del k2_top[3:]
+        # the best three so far (nlargest is stable: ties keep the earliest)
+        k2_top = heapq.nlargest(
+            3, k2_top + [(f_k2(z), z) for z in
+                         (np.concatenate([x1, d]) for d in dirs)],
+            key=lambda t: t[0])
 
     k1 = _pattern_polish(f_k1, x1_k1, spacing.copy(), feasible=in_c)
     kG = _pattern_polish(f_kG, x1_kG, spacing.copy(), feasible=in_c)
@@ -368,23 +369,12 @@ def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,
         )
     delta = cert.delta
     c = velocity_bound(build(spec, cert, 1.0, delta / 2)).c
-    target = 0.45 * headroom  # strict half with 10% slack
     kGc = constants.kG * c
     if kGc <= 0:
         gamma = 1.0
     else:
-        def lhs(g):
-            return g * (constants.k2 + g) * kGc
-
-        hi = 1.0
-        while lhs(hi) < target:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if lhs(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        gamma = lo
+        # stable positive root of g (k2 + g) kG c = target
+        t = 0.45 * headroom / kGc   # strict half with 10% slack
+        k2 = constants.k2
+        gamma = 2.0 * t / (k2 + math.sqrt(k2 * k2 + 4.0 * t))
     return gamma, gamma * delta / 2

@@ -154,10 +154,22 @@ class SafetySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SafetySpec":
-        hs = tuple(HalfSpace(np.array(e["a"], dtype=float), float(e["b"]))
-                   for e in d["halfspaces"])
-        terms = tuple(tuple(int(i) - 1 for i in t) for t in d["terms"])
-        return cls(halfspaces=hs, terms=terms, n=int(d["n"]))
+        """Inverse of to_dict; raises ValidationError naming a bad field."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"spec must be a JSON object, not {type(d).__name__}")
+
+        def field(key, parse):
+            try:
+                return parse(d[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"spec field {key!r} missing or malformed: {exc!r}") from exc
+
+        hs = field("halfspaces", lambda es: tuple(
+            HalfSpace(np.array(e["a"], dtype=float), float(e["b"])) for e in es))
+        terms = field("terms", lambda ts: tuple(tuple(int(i) - 1 for i in t)
+                                                for t in ts))
+        return cls(halfspaces=hs, terms=terms, n=field("n", int))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -195,31 +207,30 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def is_bounded(A: np.ndarray, b: np.ndarray) -> bool:
-    """True iff {x | A @ x + b >= 0} is a bounded (and nonempty) set.
+def extents(A: np.ndarray, b: np.ndarray,
+            coords=None) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[k] = min x_j, hi[k] = max x_j over {x | A @ x + b >= 0}
+    for j = coords[k] (default: every coordinate), from the LPs c = +-e_j.
 
-    Checks that the recession cone {z | A @ z >= 0} is {0} via 2k LPs
-    maximizing +-e_j @ z under a unit box.
+    An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
-    if lp_feasible_point(A, -b) is None:
-        raise EmptySet("half-space intersection is empty")
-    k = A.shape[1]
-    box_A = np.vstack([np.eye(k), -np.eye(k)])
-    cone_A = np.vstack([A, box_A])
-    cone_b = np.concatenate([np.zeros(len(b)), -np.ones(2 * k)])
-    for j in range(k):
-        for sign in (1.0, -1.0):
-            c = np.zeros(k)
+    d = A.shape[1]
+    coords = range(d) if coords is None else coords
+    lo, hi = np.empty((2, len(coords)))
+    for k, j in enumerate(coords):
+        for sign, out in ((1.0, hi), (-1.0, lo)):
+            c = np.zeros(d)
             c[j] = sign
-            sol = lp_solve(LpProblem(c=c, A=cone_A, b=cone_b))
-            if sol.objective > 1e-9:
-                return False
-    return True
+            sol = lp_solve(LpProblem(c=c, A=A, b=-b))
+            if sol.status == "infeasible":
+                raise EmptySet("half-space intersection is empty")
+            out[k] = sol.x[j] if sol.optimal else sign * np.inf
+    return lo, hi
 
 
-def _feasible_union(spec: SafetySpec, indices: frozenset[int]) -> bool:
-    A = spec.A[sorted(indices)]
-    return lp_feasible_point(A, -spec.offsets[sorted(indices)]) is not None
+def is_bounded(A: np.ndarray, b: np.ndarray) -> bool:
+    """True iff every extent of {x | A @ x + b >= 0} is finite (EmptySet if empty)."""
+    return bool(np.isfinite(extents(A, b)).all())
 
 
 def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
@@ -238,7 +249,9 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
             for t in spec.terms:
                 union = I | frozenset(t)
                 if union not in cache:
-                    cache[union] = _feasible_union(spec, union)
+                    idx = sorted(union)
+                    cache[union] = lp_feasible_point(
+                        spec.A[idx], -spec.offsets[idx]) is not None
                 if cache[union]:
                     result.append(I)
                     break
@@ -322,22 +335,12 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
 
 
 def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) axis-aligned bounds of the safety set (LPs per term and axis)."""
-    lo = np.full(spec.n, np.inf)
-    hi = np.full(spec.n, -np.inf)
-    for ell in range(len(spec.terms)):
-        A, b, _ = spec.rows.term_rows(ell)
-        for j in range(spec.n):
-            c = np.zeros(spec.n)
-            c[j] = 1.0
-            for sign in (1.0, -1.0):
-                sol = lp_solve(LpProblem(c=sign * c, A=A, b=-b))
-                if not sol.optimal:
-                    raise UnboundedPositions("term unbounded while computing bounds")
-                v = sol.x[j]
-                lo[j] = min(lo[j], v)
-                hi[j] = max(hi[j], v)
-    return lo, hi
+    """(lo, hi) axis-aligned bounds of the safety set: the term extents' hull."""
+    ext = np.array([extents(*spec.rows.term_rows(ell)[:2])
+                    for ell in range(len(spec.terms))])
+    if not np.isfinite(ext).all():
+        raise UnboundedPositions("term unbounded while computing bounds")
+    return ext[:, 0].min(axis=0), ext[:, 1].max(axis=0)
 
 
 # canonical example geometries -------------------------------------------------

@@ -211,6 +211,7 @@ class SafeguardResult:
     u_star: np.ndarray
     alpha_star: float
     M_star: float
+    B: float  # barrier value at x, from eval_B
     margins: np.ndarray  # barrier-row values at the optimizer, one per (term, i)
     row_labels: tuple[tuple[int, int], ...]  # (term, extended index)
     solution: QpSolution | None
@@ -337,9 +338,9 @@ class SafeguardAssembler:
             if warm_start:
                 self._warm = z_cand
             return SafeguardResult(u_star=z_cand[:m], alpha_star=float(z_cand[m]),
-                                   M_star=float(z_cand[m + 1]), margins=margins,
-                                   row_labels=self.row_labels, solution=None,
-                                   fast_path=True)
+                                   M_star=float(z_cand[m + 1]), B=act.value,
+                                   margins=margins, row_labels=self.row_labels,
+                                   solution=None, fast_path=True)
 
         if dt is not None:
             warm = warm_start and self._warm is not None
@@ -365,9 +366,9 @@ class SafeguardAssembler:
             self._warm = sol.z
         margins = coef @ sol.z + const
         return SafeguardResult(u_star=sol.z[:m], alpha_star=float(sol.z[m]),
-                               M_star=float(sol.z[m + 1]), margins=margins,
-                               row_labels=self.row_labels, solution=sol,
-                               fast_path=False)
+                               M_star=float(sol.z[m + 1]), B=act.value,
+                               margins=margins, row_labels=self.row_labels,
+                               solution=sol, fast_path=False)
 
 
 def safeguard(cbf: ExtendedCbf, plant, weights: QpWeights, input_set, x,

@@ -108,23 +108,24 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         if not np.isfinite(x).all():
             raise NonFinite(f"non-finite state at t={t[k]:.6g}")
         X[k] = x
-        B[k] = eval_B(sc.cbf, x).value
         H[k] = eval_h(sc.cbf.spec, x[:n])
         u_nom = sc.nominal(t[k], x) if sc.nominal is not None else np.zeros(m)
-        tic = time.perf_counter()
         if asm is not None:
+            tic = time.perf_counter()
             try:
                 res = asm.solve(x, u_nom=u_nom, warm_start=True)
             except Infeasible as exc:
                 raise QpInfeasibleAt(t[k], x, str(exc)) from exc
+            solve_us[k] = (time.perf_counter() - tic) * 1e6
+            B[k] = res.B   # the filter has just evaluated B at x
             u = res.u_star
             alpha[k] = res.alpha_star
             Mv[k] = res.M_star
             status.append("fast" if res.fast_path else "optimal")
         else:
+            B[k] = eval_B(sc.cbf, x).value
             u = np.atleast_1d(u_nom)
             status.append("nominal")
-        solve_us[k] = (time.perf_counter() - tic) * 1e6
         U[k] = u
         if k < steps:
             x = rk4_step(sc.plant, u, x, sc.dt)

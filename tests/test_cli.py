@@ -73,6 +73,64 @@ def test_construct_unbounded_geometry_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("gamma, epsilon", [("nan", "0.1"), ("inf", "0.1"),
+                                            ("10", "nan")])
+def test_construct_non_finite_parameter_exit_2(tmp_path, specfile, capsys,
+                                               gamma, epsilon):
+    code = main(["construct", str(specfile), "--gamma", gamma,
+                 "--epsilon", epsilon, "--out", str(tmp_path)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"n": 2, "halfspaces": [{"a": [1.0, 0.0], "b": 1.0}]}, "'terms'"),
+    ([{"a": [1.0, 0.0], "b": 1.0}], "JSON object"),
+    ({"n": 2, "halfspaces": [{"a": [1.0, 0.0]}], "terms": [[1]]}, "'halfspaces'"),
+    ({"n": "two", "halfspaces": [{"a": [1.0], "b": 1.0}], "terms": [[1]]}, "'n'"),
+])
+def test_malformed_spec_exit_3(tmp_path, specfile, capsys, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code = main(["construct", str(path), "--gamma", "1", "--epsilon", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert field in capsys.readouterr().err
+    # verify reads the spec fields of a barrier file the same way
+    code = main(["verify", str(path), str(_scenario(tmp_path, specfile)),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("controller, field", [
+    ({"weights": {"c_alpha": 40.0, "c_beta": 1.0}}, "controller.weights"),
+    ({"input_set": {"type": "sphere", "d": 1.0}}, "controller.input_set"),
+])
+def test_unknown_controller_field_exit_64(tmp_path, specfile, capsys,
+                                          controller, field):
+    scenario = _scenario(tmp_path, specfile,
+                         controller={"mode": "safeguarded", "nominal": "tracking",
+                                     **controller})
+    code = main(["simulate", str(scenario), "--out", str(tmp_path / "r"),
+                 "--skip-verify"])
+    assert code == 64
+    assert field in capsys.readouterr().err
+
+
+def test_verify_unknown_input_set_type_exit_64(tmp_path, specfile, capsys):
+    out = tmp_path / "out"
+    assert main(["construct", str(specfile), "--gamma", "10",
+                 "--epsilon", "0.1", "--witness", "0,0",
+                 "--out", str(out)]) == 0
+    scenario = _scenario(tmp_path, specfile,
+                         controller={"input_set": {"type": "sphere"}})
+    code = main(["verify", str(out / "cbf.json"), str(scenario),
+                 "--samples", "5", "--out", str(out)])
+    assert code == 64
+    assert "controller.input_set" in capsys.readouterr().err
+
+
 def test_construct_missing_file_exit_64(tmp_path):
     assert main(["construct", str(tmp_path / "nope.json"), "--gamma", "1",
                  "--epsilon", "0.1", "--out", str(tmp_path)]) == 64

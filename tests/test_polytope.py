@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from polysafe.polytope import (
     enumerate_s_cap,
     eval_h,
     eval_h_many,
+    extents,
     hexagon_spec,
     is_bounded,
     max_min_point,
@@ -135,6 +137,94 @@ def test_is_bounded_square_vs_dropped_row():
     for k in range(4):
         kept = np.delete(np.arange(4), k)
         assert not is_bounded(square[kept], np.ones(3))
+
+
+# --- extents ------------------------------------------------------------------
+
+def _linprog_extents(A, b):
+    """Oracle: scipy's min and max of each coordinate over A @ x + b >= 0."""
+    d = A.shape[1]
+    lo, hi = np.empty(d), np.empty(d)
+    for j, e in enumerate(np.eye(d)):
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            ref = linprog(sign * e, A_ub=-A, b_ub=b, bounds=[(None, None)] * d,
+                          method="highs")
+            assert ref.status in (0, 3)
+            out[j] = sign * ref.fun if ref.status == 0 else -sign * np.inf
+    return lo, hi
+
+
+def _positive_basis(rng, n):
+    """n random normals and minus their sum, offsets in [0.5, 2]: a simplex
+    around the origin."""
+    a = rng.normal(size=(n, n))
+    A = np.vstack([a, -a.sum(axis=0)])
+    return A, rng.uniform(0.5, 2.0, size=n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_extents_match_linprog_on_random_polytopes(n):
+    rng = np.random.Generator(np.random.Philox(100 + n))
+    for _ in range(10):
+        A, b = _positive_basis(rng, n)
+        extra = rng.normal(size=(n + 2, n))
+        A = np.vstack([A, extra])
+        b = np.concatenate([b, rng.uniform(0.5, 2.0, size=n + 2)])
+        lo, hi = extents(A, b)
+        ref_lo, ref_hi = _linprog_extents(A, b)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        np.testing.assert_allclose(lo, ref_lo, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(hi, ref_hi, rtol=1e-7, atol=1e-7)
+        assert is_bounded(A, b)
+        # a subset of the coordinates, in the order asked
+        coords = rng.permutation(n)[: max(1, n - 1)]
+        sub_lo, sub_hi = extents(A, b, coords=coords)
+        np.testing.assert_array_equal(sub_lo, lo[coords])
+        np.testing.assert_array_equal(sub_hi, hi[coords])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_extents_infinite_with_a_row_dropped(n):
+    rng = np.random.Generator(np.random.Philox(200 + n))
+    for _ in range(5):
+        A, b = _positive_basis(rng, n)
+        k = rng.integers(n + 1)
+        A, b = np.delete(A, k, axis=0), np.delete(b, k)
+        lo, hi = extents(A, b)
+        ref_lo, ref_hi = _linprog_extents(A, b)
+        assert not (np.isfinite(lo).all() and np.isfinite(hi).all())
+        np.testing.assert_array_equal(np.isfinite(lo), np.isfinite(ref_lo))
+        np.testing.assert_array_equal(np.isfinite(hi), np.isfinite(ref_hi))
+        np.testing.assert_allclose(lo, ref_lo, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(hi, ref_hi, rtol=1e-7, atol=1e-7)
+        assert not is_bounded(A, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_extents_raise_on_empty_sets(n):
+    rng = np.random.Generator(np.random.Philox(300 + n))
+    for _ in range(5):
+        A, b = _positive_basis(rng, n)
+        # a_0 @ x + b_0 >= 0 and a_0 @ x + b_0 <= -1 cannot both hold
+        A = np.vstack([A, -A[0]])
+        b = np.concatenate([b, [-b[0] - 1.0]])
+        ref = linprog(np.zeros(n), A_ub=-A, b_ub=b, bounds=[(None, None)] * n,
+                      method="highs")
+        assert ref.status == 2
+        with pytest.raises(EmptySet):
+            extents(A, b)
+
+
+def test_bounding_box_of_a_union_is_the_hull_of_term_extents():
+    # the square [-1, 1]^2 and the rectangle [2, 4] x [-0.5, 2]
+    hs = tuple(_hs(a, b) for a, b in [
+        ([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0), ([0.0, 1.0], 1.0),
+        ([0.0, -1.0], 1.0), ([1.0, 0.0], -2.0), ([-1.0, 0.0], 4.0),
+        ([0.0, 1.0], 0.5), ([0.0, -1.0], 2.0)])
+    spec = SafetySpec(halfspaces=hs, terms=((0, 1, 2, 3), (4, 5, 6, 7)), n=2)
+    lo, hi = position_bounding_box(spec)
+    np.testing.assert_allclose(lo, [-1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(hi, [4.0, 2.0], atol=1e-12)
 
 
 # --- index-set enumeration ----------------------------------------------------

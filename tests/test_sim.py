@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polysafe.cbf import velocity_bound
+from polysafe.cbf import eval_B, velocity_bound
 from polysafe.errors import QpInfeasibleAt
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
@@ -101,6 +101,23 @@ def test_determinism_bit_identical(hexagon_cbf, arm, arm_nominal):
     assert (a.x == b.x).all()
     assert (a.u == b.u).all()
     assert (a.B == b.B).all()
+
+
+@pytest.mark.parametrize("mode, sim_calls", [("safeguarded", 0), ("nominal", 51)])
+def test_logged_B_is_eval_B_at_each_state(monkeypatch, hexagon_cbf, arm,
+                                          arm_nominal, mode, sim_calls):
+    # the safeguarded loop logs the value the filter evaluated at x and
+    # calls eval_B only in nominal mode
+    import polysafe.sim
+
+    calls = []
+    monkeypatch.setattr(polysafe.sim, "eval_B",
+                        lambda cbf, x: calls.append(x) or eval_B(cbf, x))
+    log = simulate(Scenario(cbf=hexagon_cbf, plant=arm, mode=mode,
+                            x0=np.zeros(4), t_final=0.05, nominal=arm_nominal))
+    assert len(calls) == sim_calls
+    for x, B in zip(log.x, log.B):
+        assert B == eval_B(hexagon_cbf, x).value
 
 
 # --- runtime failure paths ----------------------------------------------------
