@@ -164,6 +164,8 @@ def cmd_construct(args) -> int:
     if args.auto:
         if args.d is None:
             raise UsageError("--auto requires --d")
+        if args.resolution < 2:
+            raise UsageError(f"--resolution must be at least 2, got {args.resolution}")
         plant, _ = _plant_from_config(
             {"type": "two_link_arm", "gravity": args.gravity})
         constants = estimate_constants(plant, spec, resolution=args.resolution)

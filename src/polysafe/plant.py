@@ -12,25 +12,26 @@ potential term for input-bound experiments.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientActuation, NoSplit, SingularInertia
+from .errors import InsufficientActuation, NoSplit, SingularInertia, ValidationError
 from .polytope import SafetySpec, contains, eval_h_many, position_bounding_box
 
 GRAVITY = 9.8  # m/s^2
+_BLOCK = 512   # grid points per block of the constant-estimation scan
 
 
 @dataclass(frozen=True)
 class PlantModel:
     """Control-affine second-order dynamics x1dd = f2(x1, x2) + G2(x1) u.
 
-    The optional split f2 = f2_potential(x1) + f2_velocity(x1, x2) is
-    needed for the Euler-Lagrange constant estimates.
+    The optional split f2 = f2_potential(x1) + f2_velocity(x1, x2), with
+    f2_velocity a quadratic form in x2 (Coriolis/centripetal forcing), is
+    needed for the Euler-Lagrange constant estimates (estimate_constants).
     """
 
     n: int
@@ -291,24 +292,40 @@ def _pattern_polish(f, x0: np.ndarray, step: np.ndarray,
     return fx
 
 
+def _stable_top(kept: list, vals: np.ndarray, at, f, k: int) -> list:
+    """The k largest (f(item), item) of `kept` and the items at(i), earliest
+    first among ties.  `vals` estimates f to within 1e-9 of its largest
+    value; f itself ranks every item whose estimate could make the cut."""
+    tol = 1e-9 * max([vals.max(initial=0.0)] + [v for v, _ in kept])
+    ranked = np.sort(np.concatenate([[v for v, _ in kept], vals - tol]))
+    pick = vals + tol >= (ranked[-k] if len(ranked) >= k else -np.inf)
+    if len(kept) == k:   # a later item displaces a kept one only if larger
+        pick &= vals + tol > kept[-1][0]
+    cands = kept + [(f(at(i)), at(i)) for i in np.flatnonzero(pick)]
+    return sorted(cands, key=lambda t: t[0], reverse=True)[:k]
+
+
 def estimate_constants(plant: PlantModel, spec: SafetySpec,
                        resolution: int = 200, v_cap: float = 1.0,
                        n_directions: int = 32) -> ElConstants:
     """Maxima of the potential force, right-inverse norm, and the
     velocity-force gain over the safety set: a grid scan followed by a
-    deterministic pattern-search polish from the best grid candidates,
-    so the reported values are refined local maxima rather than raw grid
-    maxima.
+    deterministic pattern-search polish from the best grid candidates (the
+    first maxima of k1 and kG, the three largest of k2, earliest first
+    among ties), so the reported values are refined local maxima.
 
-    k2 uses homogeneity: for forcing quadratic in the velocity the ratio
-    ||f2_velocity|| / ||x2|| is maximal on the sphere ||x2|| = v_cap, so
-    only that sphere is scanned.
+    f2_velocity must be a quadratic form in x2 (NoSplit if not), so
+    ||f2_velocity|| / ||x2|| is maximal on ||x2|| = v_cap, and the block
+    scan calls it per grid point only at v_cap (e_j + e_k) and v_cap e_j:
+    by polarization these price every direction.
     """
     if not plant.has_split:
         raise NoSplit("plant lacks the potential/velocity decomposition")
     lo, hi = position_bounding_box(spec)
-    grid = _position_grid(spec, lo, hi, resolution)
-    dirs = _unit_directions(plant.n, n_directions)
+    grid = _position_grid(spec, lo, hi, max(resolution, 0))
+    if not len(grid):
+        raise ValidationError(f"no point of the resolution-{resolution} grid is in C")
+    n, dirs = spec.n, _unit_directions(plant.n, n_directions)
     spacing = (hi - lo) / max(resolution - 1, 1)
     in_c = lambda x1: contains(spec, x1)
 
@@ -319,35 +336,41 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
         return float(np.linalg.norm(np.linalg.pinv(np.atleast_2d(plant.G2(x1))), 2))
 
     def f_k2(z):
-        x1, w = z[:spec.n], z[spec.n:]
+        x1, w = z[:n], z[n:]
         x2 = v_cap * w / np.linalg.norm(w)
         return float(np.linalg.norm(plant.f2_velocity(x1, x2))) / v_cap
 
-    k1 = kG = 0.0
-    k2_top: list[tuple[float, np.ndarray]] = []
-    x1_k1 = x1_kG = grid[0]
-    for x1 in grid:
-        v1 = f_k1(x1)
-        if v1 > k1:
-            k1, x1_k1 = v1, x1
-        vG = f_kG(x1)
-        if vG > kG:
-            kG, x1_kG = vG, x1
-        # the best three so far (nlargest is stable: ties keep the earliest)
-        k2_top = heapq.nlargest(
-            3, k2_top + [(f_k2(z), z) for z in
-                         (np.concatenate([x1, d]) for d in dirs)],
-            key=lambda t: t[0])
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    probes = v_cap * np.array([np.eye(n)[j] + (j < k) * np.eye(n)[k] for j, k in pairs])
 
-    k1 = _pattern_polish(f_k1, x1_k1, spacing.copy(), feasible=in_c)
-    kG = _pattern_polish(f_kG, x1_kG, spacing.copy(), feasible=in_c)
-    k2 = 0.0
+    def weights(W):   # f2_velocity(x1, v_cap w) = weights(w) @ probe values
+        return np.stack([W[:, j] * (W[:, k] if j < k else 2 * W[:, j] - W.sum(1))
+                         for j, k in pairs], axis=1)
+
+    check = np.linspace(-0.5, 1.0, n)   # no probe, nor a multiple of one
+    k1_top, kG_top, k2_top = [(0.0, grid[0])], [(0.0, grid[0])], []
+    for s in range(0, len(grid), _BLOCK):
+        blk = grid[s:s + _BLOCK]
+        F = np.array([[plant.f2_velocity(x1, p) for p in probes] for x1 in blk])
+        direct = plant.f2_velocity(blk[0], v_cap * check)
+        if np.abs(weights(check[None]) @ F[0] - direct).max() > 1e-9 * max(
+                np.abs(direct).max(), np.abs(F[0]).max()):
+            raise NoSplit("f2_velocity is not a quadratic form in x2")
+        G = np.array([np.atleast_2d(plant.G2(x1)) for x1 in blk])
+        k1_top = _stable_top(k1_top, np.linalg.norm(
+            [plant.f2_potential(x1) for x1 in blk], axis=1), blk.__getitem__, f_k1, 1)
+        kG_top = _stable_top(kG_top, np.linalg.norm(
+            np.linalg.pinv(G), 2, axis=(1, 2)), blk.__getitem__, f_kG, 1)
+        k2 = np.linalg.norm(weights(dirs) @ F, axis=2).ravel() / v_cap
+        k2_top = _stable_top(k2_top, k2, lambda i: np.concatenate(
+            [blk[i // len(dirs)], dirs[i % len(dirs)]]), f_k2, 3)
+    k1 = _pattern_polish(f_k1, k1_top[0][1], spacing.copy(), feasible=in_c)
+    kG = _pattern_polish(f_kG, kG_top[0][1], spacing.copy(), feasible=in_c)
     dir_step = np.full(plant.n, np.pi / max(n_directions, 2))
-    for val, z in k2_top:
-        k2 = max(k2, val, _pattern_polish(
-            f_k2, z, np.concatenate([spacing, dir_step]),
-            feasible=lambda z: in_c(z[:spec.n])
-            and np.linalg.norm(z[spec.n:]) > 0.1))
+    k2 = max([0.0] + [_pattern_polish(
+        f_k2, z, np.concatenate([spacing, dir_step]),
+        feasible=lambda z: in_c(z[:spec.n])
+        and np.linalg.norm(z[spec.n:]) > 0.1) for _, z in k2_top])
     return ElConstants(k1=k1, kG=kG, k2=k2, v_cap=v_cap,
                        grid_resolution=resolution)
 

@@ -1,5 +1,6 @@
 """Independent reference implementations used only by the tests."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -96,3 +97,34 @@ def sample_extended_states(cbf, count, seed):
         w = rng.dirichlet(np.ones(len(verts)))
         states.append(w @ verts)
     return np.array(states)
+
+
+def scan_grid_pointwise(plant, grid, dirs, v_cap):
+    """The constant-estimation grid scan one point and direction at a time.
+
+    Returns the first maximizer of ||f2_potential|| and of ||G2^+||_2 over
+    the grid, and the three largest (||f2_velocity(x1, v_cap d)|| / v_cap,
+    z = (x1, d)), ties keeping the earliest (nlargest is stable).
+    """
+    n = plant.n
+
+    def f_k2(z):
+        x1, w = z[:n], z[n:]
+        x2 = v_cap * w / np.linalg.norm(w)
+        return float(np.linalg.norm(plant.f2_velocity(x1, x2))) / v_cap
+
+    k1 = kG = 0.0
+    top = []
+    x1_k1 = x1_kG = grid[0]
+    for x1 in grid:
+        v1 = float(np.linalg.norm(plant.f2_potential(x1)))
+        if v1 > k1:
+            k1, x1_k1 = v1, x1
+        vG = float(np.linalg.norm(np.linalg.pinv(np.atleast_2d(plant.G2(x1))), 2))
+        if vG > kG:
+            kG, x1_kG = vG, x1
+        top = heapq.nlargest(
+            3, top + [(f_k2(z), z) for z in
+                      (np.concatenate([x1, d]) for d in dirs)],
+            key=lambda t: t[0])
+    return x1_k1, x1_kG, top

@@ -131,6 +131,15 @@ def test_verify_unknown_input_set_type_exit_64(tmp_path, specfile, capsys):
     assert "controller.input_set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", ["0", "1", "-5"])
+def test_construct_auto_bad_resolution_exit_64(tmp_path, specfile, capsys,
+                                               resolution):
+    code = main(["construct", str(specfile), "--auto", "--d", "400",
+                 "--resolution", resolution, "--out", str(tmp_path)])
+    assert code == 64
+    assert "--resolution" in capsys.readouterr().err
+
+
 def test_construct_missing_file_exit_64(tmp_path):
     assert main(["construct", str(tmp_path / "nope.json"), "--gamma", "1",
                  "--epsilon", "0.1", "--out", str(tmp_path)]) == 64

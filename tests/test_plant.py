@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from _oracles import sample_safe_positions
+from _oracles import sample_safe_positions, scan_grid_pointwise
+from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
-from polysafe.errors import InsufficientActuation, NoSplit
+from polysafe.errors import InsufficientActuation, NoSplit, ValidationError
 from polysafe.plant import (
     ArmParams,
+    PlantModel,
     SineReference,
     coriolis_matrix,
     double_integrator,
@@ -18,7 +20,14 @@ from polysafe.plant import (
     select_gamma,
     two_link_arm,
 )
-from polysafe.polytope import compute_cert, slab_spec
+from polysafe.polytope import (
+    HalfSpace,
+    SafetySpec,
+    compute_cert,
+    hexagon_spec,
+    position_bounding_box,
+    slab_spec,
+)
 from polysafe.sim import rk4_step
 
 
@@ -167,6 +176,124 @@ def test_velocity_force_bound_holds(hexagon, gravity_constants):
         x2 = v / np.linalg.norm(v) * rng.uniform(0, gravity_constants.v_cap)
         lhs = np.linalg.norm(arm.f2_velocity(x1, x2))
         assert lhs <= gravity_constants.k2 * np.linalg.norm(x2) + 1e-9
+
+
+def test_gravity_constants_pinned(gravity_constants):
+    # the resolution-200 values of the pointwise scan, kept bit for bit
+    expected = (52.77461510991814, 5.828427124746196, 2.7101659041444583)
+    got = (gravity_constants.k1, gravity_constants.kG, gravity_constants.k2)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("resolution", [-5, 0, 1, 2])
+def test_constants_empty_grid_names_resolution(arm, hexagon, resolution):
+    # the hexagon holds none of its bounding box's corners
+    with pytest.raises(ValidationError, match=f"resolution-{resolution}"):
+        estimate_constants(arm, hexagon, resolution=resolution)
+
+
+@pytest.mark.parametrize("spec", [slab_spec(), hexagon_spec()],
+                         ids=["slab", "hexagon"])
+def test_constants_reject_non_quadratic_velocity_force(spec):
+    # linear damping is odd in x2: no quadratic form matches its probes
+    n = spec.n
+    damped = PlantModel(n=n, m=n, f2=lambda x1, x2: -x2, G2=lambda x1: np.eye(n),
+                        f2_potential=lambda x1: np.zeros(n),
+                        f2_velocity=lambda x1, x2: -x2)
+    with pytest.raises(NoSplit, match="quadratic"):
+        estimate_constants(damped, spec, resolution=10)
+
+
+# --- block scan against the pointwise oracle ----------------------------------
+
+def _box_spec(n):
+    """The box |x_j| <= 1 in n dimensions."""
+    hs = tuple(HalfSpace(s * np.eye(n)[j], 1.0) for j in range(n) for s in (1.0, -1.0))
+    return SafetySpec(halfspaces=hs, terms=(tuple(range(2 * n)),), n=n)
+
+
+def _quadratic_plant_3d():
+    """A 3-D plant whose velocity force mixes every pair of components."""
+    def f2_velocity(x1, x2):
+        return np.array([x2[1] * x2[2] + x1[0] * x2[0] ** 2,
+                         (1.0 + x1[1]) * x2[0] * x2[2] - x2[1] ** 2,
+                         x2[0] * x2[1] + x1[2] * x2[2] ** 2])
+
+    def f2_potential(x1):
+        return np.array([x1[0] * x1[1], 0.0, -x1[2]])
+
+    return PlantModel(n=3, m=3,
+                      f2=lambda x1, x2: f2_potential(x1) + f2_velocity(x1, x2),
+                      G2=lambda x1: np.diag(2.0 + x1), f2_potential=f2_potential,
+                      f2_velocity=f2_velocity)
+
+
+def _peaked_plant_1d(center):
+    """A 1-D plant whose velocity gain peaks at x1 = center."""
+    gain = lambda x1: 1.0 - (x1[0] - center) ** 2
+    return PlantModel(n=1, m=1, f2=lambda x1, x2: gain(x1) * x2 ** 2,
+                      G2=lambda x1: np.eye(1), f2_potential=lambda x1: np.zeros(1),
+                      f2_velocity=lambda x1, x2: gain(x1) * x2 ** 2)
+
+
+def _polish_starts(monkeypatch, plant, spec, resolution):
+    """(f(x0), x0) of every polish, in order: the k1 point, the kG point and
+    the three k2 candidates z = (x1, direction)."""
+    starts = []
+    polish = plant_module._pattern_polish
+
+    def record(f, x0, step, **kwargs):
+        starts.append((f(x0), x0.copy()))
+        return polish(f, x0, step, **kwargs)
+
+    monkeypatch.setattr(plant_module, "_pattern_polish", record)
+    estimate_constants(plant, spec, resolution=resolution)
+    return starts
+
+
+def _oracle_picks(plant, spec, resolution):
+    lo, hi = position_bounding_box(spec)
+    grid = plant_module._position_grid(spec, lo, hi, resolution)
+    dirs = plant_module._unit_directions(plant.n, 32)
+    return grid, scan_grid_pointwise(plant, grid, dirs, 1.0)
+
+
+@pytest.mark.parametrize("case", ["gravity_arm", "arm", "slab", "di_3d",
+                                  "quadratic_3d"])
+def test_block_scan_matches_pointwise_scan(monkeypatch, case):
+    plant, spec, resolution = {
+        "gravity_arm": (two_link_arm(ArmParams(gravity=True)), hexagon_spec(), 40),
+        "arm": (two_link_arm(ArmParams()), hexagon_spec(), 40),
+        # every k2 value is 0: the earliest candidates must win the ties
+        "slab": (double_integrator(1), slab_spec(), 50),
+        "di_3d": (double_integrator(3), _box_spec(3), 6),
+        "quadratic_3d": (_quadratic_plant_3d(), _box_spec(3), 6),
+    }[case]
+    _, (x1_k1, x1_kG, top) = _oracle_picks(plant, spec, resolution)
+    starts = _polish_starts(monkeypatch, plant, spec, resolution)
+    assert len(starts) == 2 + len(top) == 5
+    np.testing.assert_array_equal(starts[0][1], x1_k1)
+    np.testing.assert_array_equal(starts[1][1], x1_kG)
+    for (value, z), (want, z_want) in zip(starts[2:], top):
+        np.testing.assert_array_equal(z, z_want)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_block_scan_top_three_across_a_block_boundary(monkeypatch):
+    # the k2 gain peaks halfway between the last point of the first block
+    # and the first of the second, so the top three straddle the boundary
+    spec, resolution = slab_spec(), 2 * plant_module._BLOCK + 7
+    lo, hi = position_bounding_box(spec)
+    grid = plant_module._position_grid(spec, lo, hi, resolution)
+    edge = plant_module._BLOCK
+    plant = _peaked_plant_1d(0.5 * (grid[edge - 1, 0] + grid[edge, 0]))
+    _, (_, _, top) = _oracle_picks(plant, spec, resolution)
+    rows = {int(np.flatnonzero(grid[:, 0] == z[0])[0]) for _, z in top}
+    assert rows == {edge - 1, edge}
+    starts = _polish_starts(monkeypatch, plant, spec, resolution)
+    for (value, z), (want, z_want) in zip(starts[2:], top):
+        np.testing.assert_array_equal(z, z_want)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # --- design-parameter selection -----------------------------------------------

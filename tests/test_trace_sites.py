@@ -36,3 +36,24 @@ def test_class_patch_sites_are_defined_on_their_classes():
     assert callable(ExtendedCbf.__dict__["term_rows"])
     assert isinstance(ArmParams.__dict__["coefficients"], property)
     assert callable(SafeguardAssembler.__dict__["solve"])
+
+
+def test_estimate_constants_calls_g2_at_every_grid_point():
+    # the benchmark samples machine speed from the G2 calls of this scan
+    import dataclasses
+
+    from polysafe import plant as pplant
+    from polysafe.polytope import hexagon_spec, position_bounding_box
+
+    spec = hexagon_spec()
+    arm = pplant.two_link_arm(pplant.ArmParams(gravity=True))
+    calls = []
+
+    def counting_G2(x1):
+        calls.append(1)
+        return arm.G2(x1)
+
+    pplant.estimate_constants(dataclasses.replace(arm, G2=counting_G2), spec,
+                              resolution=20)
+    grid = pplant._position_grid(spec, *position_bounding_box(spec), 20)
+    assert len(calls) >= len(grid) > 0
