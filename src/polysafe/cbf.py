@@ -11,6 +11,7 @@ checks the boundary safety condition against a plant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     PolysafeError,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
-from .polytope import GeometryCert, SafetySpec, TermRows, extents, is_bounded, max_min
+from .polytope import GeometryCert, SafetySpec, TermRows, extents, max_min
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -81,6 +82,12 @@ class ExtendedCbf:
     def term_rows(self, ell: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Stacked (A, b, extended ids) for extended term ell (read-only)."""
         return self.rows.term_rows(ell)
+
+    @cached_property
+    def term_extents(self) -> tuple[np.ndarray, ...]:
+        """Per extended term, the 2 x 2n extents (lo, hi) of every coordinate."""
+        return tuple(np.array(extents(*self.term_rows(ell)[:2]))
+                     for ell in range(len(self.spec.terms)))
 
     def to_dict(self) -> dict:
         return {
@@ -236,8 +243,8 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
     With bounded position terms this must hold; a bounded-position,
     unbounded-extended disagreement indicates an internal inconsistency.
     """
-    unbounded = [ell for ell in range(len(cbf.spec.terms))
-                 if not is_bounded(*cbf.term_rows(ell)[:2])]
+    unbounded = [ell for ell, lo_hi in enumerate(cbf.term_extents)
+                 if not np.isfinite(lo_hi).all()]
     if unbounded and cbf.cert.proj_bounded:
         raise PolysafeError(
             f"extended terms {unbounded} unbounded despite bounded positions")
@@ -247,10 +254,7 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
     """Largest |x2_j| over every extended term: its velocity extents."""
     n = cbf.n
-    bound = 0.0
-    for ell in range(len(cbf.spec.terms)):
-        lo, hi = extents(*cbf.term_rows(ell)[:2], coords=range(n, 2 * n))
-        bound = max(bound, np.abs(lo).max(), np.abs(hi).max())
+    bound = max(np.abs(lo_hi[:, n:]).max() for lo_hi in cbf.term_extents)
     if not np.isfinite(bound):
         raise PolysafeError("velocity unbounded over an extended term")
     norm_bound = np.sqrt(n) * bound

@@ -12,6 +12,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -77,6 +78,15 @@ def _load_json(path) -> dict:
         raise UsageError(f"not valid JSON: {path} ({exc})") from exc
 
 
+@contextlib.contextmanager
+def _field(name: str, error=UsageError):
+    """Report a value read under `name` that is missing or malformed as `error`."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{name} missing or malformed: {exc!r}") from exc
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,24 +94,23 @@ def _outdir(args) -> Path:
 
 
 def _plant_from_config(cfg: dict):
-    kind = cfg.get("type", "two_link_arm")
-    if kind == "two_link_arm":
-        params = ArmParams(
-            m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
-            l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
-            gravity=bool(cfg.get("gravity", False)),
-        )
-        return two_link_arm(params), params
-    if kind == "double_integrator":
-        return double_integrator(int(cfg.get("n", 1))), None
+    with _field("plant"):
+        kind = cfg.get("type", "two_link_arm")
+        if kind == "two_link_arm":
+            params = ArmParams(
+                m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
+                l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
+                gravity=bool(cfg.get("gravity", False)),
+            )
+            return two_link_arm(params), params
+        if kind == "double_integrator":
+            return double_integrator(int(cfg.get("n", 1))), None
     raise UsageError(f"unknown plant type {kind!r}")
 
 
 def _input_set_from_config(ctrl: dict):
-    try:
+    with _field("controller.input_set"):
         return input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
-    except ValueError as exc:
-        raise UsageError(f"controller.input_set: {exc}") from exc
 
 
 def _nominal_from_config(cfg: dict, params):
@@ -123,43 +132,38 @@ def _nominal_from_config(cfg: dict, params):
 def _load_scenario(path, seed_override=None):
     """Scenario file -> (Scenario, plant params, raw dict)."""
     raw = _load_json(path)
-    if "spec_file" in raw:
-        spec = SafetySpec.from_dict(_load_json(raw["spec_file"]))
-    else:
-        spec = SafetySpec.from_dict(raw["spec"])
+    with _field("spec", ValidationError):
+        spec = SafetySpec.from_dict(_load_json(raw["spec_file"]) if "spec_file" in raw
+                                    else raw["spec"])
     cbf_cfg = raw.get("cbf", {})
-    witness = cbf_cfg.get("witness")
-    cert = compute_cert(spec, overrides=None if witness is None
-                        else np.array(witness, dtype=float))
-    cbf = build(spec, cert, float(cbf_cfg.get("gamma", 1.0)),
-                float(cbf_cfg.get("epsilon", cert.delta / 2)))
+    with _field("cbf.witness"):
+        y = cbf_cfg.get("witness")
+        witness = None if y is None else np.array(y, dtype=float).reshape(spec.n)
+    cert = compute_cert(spec, overrides=witness)
+    with _field("cbf"):
+        cbf = build(spec, cert, float(cbf_cfg.get("gamma", 1.0)),
+                    float(cbf_cfg.get("epsilon", cert.delta / 2)))
     plant, params = _plant_from_config(raw.get("plant", {}))
     ctrl = raw.get("controller", {})
-    try:
+    with _field("controller.weights"):
         weights = QpWeights(**ctrl.get("weights", {}))
-    except TypeError as exc:
-        raise UsageError(f"controller.weights: {exc}") from exc
     input_set = _input_set_from_config(ctrl)
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 42))
-    sc = Scenario(
-        cbf=cbf,
-        plant=plant,
-        mode=ctrl.get("mode", "safeguarded"),
-        x0=np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float),
-        t_final=float(raw.get("t_final", 10.0)),
-        dt=float(raw.get("dt", 1e-3)),
-        nominal=_nominal_from_config(ctrl, params),
-        weights=weights,
-        input_set=input_set,
-        seed=seed,
-    )
+    with _field("scenario"):
+        seed = seed_override if seed_override is not None else int(raw.get("seed", 42))
+        sc = Scenario(
+            cbf=cbf, plant=plant, mode=ctrl.get("mode", "safeguarded"),
+            x0=np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float),
+            t_final=float(raw.get("t_final", 10.0)), dt=float(raw.get("dt", 1e-3)),
+            nominal=_nominal_from_config(ctrl, params), weights=weights,
+            input_set=input_set, seed=seed)
     return sc, params, raw
 
 
 def cmd_construct(args) -> int:
     spec = SafetySpec.from_dict(_load_json(args.specfile))
-    witness = (np.array([float(v) for v in args.witness.split(",")])
-               if args.witness else None)
+    with _field("--witness"):
+        witness = (np.array([float(v) for v in args.witness.split(",")]).reshape(spec.n)
+                   if args.witness else None)
     cert = compute_cert(spec, overrides=witness)
     if args.auto:
         if args.d is None:
@@ -192,11 +196,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cbf = cbf_from_dict(_load_json(args.cbffile))
+    with _field("barrier file", ValidationError):
+        cbf = cbf_from_dict(_load_json(args.cbffile))
     raw = _load_json(args.scenariofile)
-    plant, _ = _plant_from_config(raw.get("plant", {}))
-    input_set = _input_set_from_config(raw.get("controller", {}))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 42))
+    with _field("scenario"):
+        plant, _ = _plant_from_config(raw.get("plant", {}))
+        input_set = _input_set_from_config(raw.get("controller", {}))
+        seed = args.seed if args.seed is not None else int(raw.get("seed", 42))
     if args.samples == 0:
         print("warning: 0 samples requested; condition vacuously verified")
         return EXIT_OK

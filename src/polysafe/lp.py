@@ -1,14 +1,19 @@
-"""Dense linear programming by two-phase revised simplex.
+"""Dense linear programming by two-phase revised simplex on the dual.
 
 Problems are stated as
 
     max  c @ x    s.t.  A @ x >= b,   x free,
 
 which is the natural form for half-space geometry (every row is a
-half-space membership requirement).  Internally the problem is converted
-to standard equality form with split variables and slacks.  Instances in
-this package are tiny (tens of rows), so each iteration refactorizes the
-basis; robustness is preferred over speed.
+half-space membership requirement).  Its dual
+
+    min  -b @ mu  s.t.  A.T @ mu = -c,   mu >= 0
+
+is in standard form with one equation per variable, so the simplex runs
+on it directly: x is read off its simplex multipliers and mu is its
+basic solution.  Instances in this package are tiny (a few variables,
+tens of rows), so each iteration refactorizes the basis; robustness is
+preferred over speed.
 """
 
 from __future__ import annotations
@@ -136,65 +141,49 @@ def lp_solve(p: LpProblem) -> LpSolution:
     A, b = p.A, p.b
     m, n = A.shape
 
-    # standard form: x = xp - xq, slack s per row:  A xp - A xq - s = b
-    As = np.hstack([A, -A, -np.eye(m)])
-    cs = np.concatenate([-c, c, np.zeros(m)])  # internal minimization
-    flip = np.where(b < 0, -1.0, 1.0)
-    As = As * flip[:, None]
-    bs = b * flip
-    ncols = As.shape[1]
+    # the dual  min -b @ mu  s.t.  A.T @ mu = -c, mu >= 0, each row signed
+    # so that its right-hand side |c_j| is nonnegative
+    sign = np.where(c > 0, -1.0, 1.0)
+    As = sign[:, None] * A.T
+    bs = np.abs(c)
 
-    # phase 1: artificials with identity columns
-    A1 = np.hstack([As, np.eye(m)])
-    c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    t = _Tableau(A1, bs, c1, basis=list(range(ncols, ncols + m)))
-    status, xB, _ = _simplex_core(t)
+    # phase 1: one artificial per dual row
+    A1 = np.hstack([As, np.eye(n)])
+    c1 = np.concatenate([np.zeros(m), np.ones(n)])
+    t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
+    status, xB, y = _simplex_core(t)
     assert status == "optimal"  # phase 1 is always bounded below by 0
-    art_value = float(sum(xB[i] for i, j in enumerate(t.basis) if j >= ncols))
-    if art_value > 1e-7:
-        return LpSolution(status="infeasible")
+    if c1[t.basis] @ xB > 1e-7:
+        # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
+        # c @ ray > 0, so the LP is unbounded unless it is infeasible
+        if lp_feasible_point(A, b) is None:
+            return LpSolution(status="infeasible")
+        return LpSolution(status="unbounded", ray=-sign * y / np.abs(y).max())
 
-    # drive leftover (degenerate) artificials out of the basis
-    keep_rows = list(range(m))
-    for row in range(m):
-        if t.basis[row] < ncols:
-            continue
-        B = A1[np.ix_(keep_rows, [t.basis[r] for r in keep_rows])]
-        tab_row = np.linalg.solve(B, A1[keep_rows][:, :ncols])[keep_rows.index(row)]
-        candidates = np.flatnonzero(np.abs(tab_row) > 1e-9)
-        candidates = [j for j in candidates if j not in t.basis]
-        if candidates:
-            t.basis[row] = int(candidates[0])
+    # drive leftover (degenerate) artificials out of the basis; one that
+    # cannot leave marks its own dual row as redundant
+    keep = np.ones(n, dtype=bool)
+    for art in [j for j in t.basis if j >= m]:
+        k = t.basis.index(art)
+        tab_row = np.linalg.solve(A1[np.ix_(keep, t.basis)], As[keep])[k]
+        entering = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-9)
+                    if j not in t.basis]
+        if entering:
+            t.basis[k] = int(entering[0])
         else:
-            keep_rows.remove(row)  # redundant row
-    if len(keep_rows) < m:
-        As = As[keep_rows]
-        bs = bs[keep_rows]
-        flip_kept = flip[keep_rows]
-        t.basis = [t.basis[r] for r in keep_rows]
-    else:
-        flip_kept = flip
+            keep[art - m] = False
+            del t.basis[k]
 
-    # phase 2
-    t2 = _Tableau(As, bs, cs, basis=t.basis)
+    # phase 2: an unbounded dual means an empty primal
+    t2 = _Tableau(As[keep], bs[keep], -b, basis=t.basis)
     status, xB, y = _simplex_core(t2)
-
     if status == "unbounded":
-        entering, d = xB, y
-        dz = np.zeros(ncols)
-        dz[entering] = 1.0
-        for i, j in enumerate(t2.basis):
-            dz[j] = -d[i]
-        ray = dz[:n] - dz[n:2 * n]
-        ray /= np.abs(ray).max()
-        return LpSolution(status="unbounded", ray=ray)
-
-    z = np.zeros(ncols)
-    for i, j in enumerate(t2.basis):
-        z[j] = xB[i]
-    x = z[:n] - z[n:2 * n]
+        return LpSolution(status="infeasible")
+    # x is the dual's simplex multipliers, unsigned; mu its basic solution
+    x = np.zeros(n)
+    x[keep] = -sign[keep] * y
     mu = np.zeros(m)
-    mu[keep_rows if len(keep_rows) < m else slice(None)] = flip_kept * y
+    mu[t2.basis] = xB
     objective = float(c @ x)
     if not p.maximize:
         objective, mu = -objective, -mu

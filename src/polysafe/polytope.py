@@ -207,24 +207,22 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def extents(A: np.ndarray, b: np.ndarray,
-            coords=None) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[k] = min x_j, hi[k] = max x_j over {x | A @ x + b >= 0}
-    for j = coords[k] (default: every coordinate), from the LPs c = +-e_j.
+def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
+    from the LPs c = +-e_j.
 
     An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
     d = A.shape[1]
-    coords = range(d) if coords is None else coords
-    lo, hi = np.empty((2, len(coords)))
-    for k, j in enumerate(coords):
+    lo, hi = np.empty((2, d))
+    for j in range(d):
         for sign, out in ((1.0, hi), (-1.0, lo)):
             c = np.zeros(d)
             c[j] = sign
             sol = lp_solve(LpProblem(c=c, A=A, b=-b))
             if sol.status == "infeasible":
                 raise EmptySet("half-space intersection is empty")
-            out[k] = sol.x[j] if sol.optimal else sign * np.inf
+            out[j] = sol.x[j] if sol.optimal else sign * np.inf
     return lo, hi
 
 

@@ -118,7 +118,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
             sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
         step_p = sol[:nz]
         lam_w = sol[nz:]
-        if np.linalg.norm(step_p) <= 1e-11:
+        if np.linalg.norm(step_p) <= 1e-11 * max(1.0, np.linalg.norm(z)):
             if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
                 break
             worst = int(np.argmin(lam_w))

@@ -131,6 +131,60 @@ def test_verify_unknown_input_set_type_exit_64(tmp_path, specfile, capsys):
     assert "controller.input_set" in capsys.readouterr().err
 
 
+def _construct_with_witness(witness):
+    return lambda tmp_path, specfile: [
+        "construct", str(specfile), "--gamma", "10", "--epsilon", "0.1",
+        "--witness", witness, "--out", str(tmp_path)]
+
+
+def _simulate_with(**overrides):
+    return lambda tmp_path, specfile: [
+        "simulate", str(_scenario(tmp_path, specfile, **overrides)),
+        "--out", str(tmp_path / "r"), "--skip-verify"]
+
+
+def _verify_with(barrier, scenario=None):
+    def argv(tmp_path, specfile):
+        path = tmp_path / "barrier.json"
+        path.write_text(json.dumps(barrier))
+        scenario_path = _scenario(tmp_path, specfile)
+        if scenario is not None:
+            scenario_path.write_text(json.dumps(scenario))
+        return ["verify", str(path), str(scenario_path),
+                "--samples", "5", "--out", str(tmp_path)]
+    return argv
+
+
+_TRACKING = {"mode": "safeguarded", "nominal": "tracking"}
+_HEX_CBF = {**hexagon_spec().to_dict(), "cbf": {"gamma": 10.0, "epsilon": 0.1}}
+
+
+@pytest.mark.parametrize("argv, code, field", [
+    pytest.param(_construct_with_witness("a,b"), 64, "--witness", id="witness-text"),
+    pytest.param(_construct_with_witness("0,0,0"), 64, "--witness", id="witness-size"),
+    pytest.param(_simulate_with(controller={**_TRACKING, "mode": "bogus"}), 64,
+                 "mode", id="mode"),
+    pytest.param(_simulate_with(dt=0), 64, "dt", id="dt"),
+    pytest.param(_simulate_with(initial_state=[0.0, 0.0]), 64, "initial state",
+                 id="initial-state"),
+    pytest.param(_simulate_with(controller={**_TRACKING, "weights": {"q_M": -1}}),
+                 64, "controller.weights", id="weight"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "m1": 0}), 64,
+                 "plant", id="mass"),
+    pytest.param(_simulate_with(controller={**_TRACKING, "input_set": {"type": "box"}}),
+                 64, "controller.input_set", id="box-limits"),
+    pytest.param(_simulate_with(controller="safeguarded"), 64, "controller",
+                 id="controller-text"),
+    pytest.param(_verify_with(_HEX_CBF), 3, "cert", id="barrier-cert"),
+    pytest.param(_verify_with({**_HEX_CBF, "cert": {"delta": 1.5, "witnesses": []}},
+                              scenario=[1, 2]), 64, "scenario", id="scenario-list"),
+])
+def test_malformed_load_field_exits_with_code(tmp_path, specfile, capsys, argv,
+                                              code, field):
+    assert main(argv(tmp_path, specfile)) == code
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("resolution", ["0", "1", "-5"])
 def test_construct_auto_bad_resolution_exit_64(tmp_path, specfile, capsys,
                                                resolution):

@@ -106,6 +106,37 @@ def test_matches_scipy_on_200_random_problems():
     assert agreed == 200
 
 
+@pytest.mark.parametrize("box", [False, True], ids=["free", "box"])
+@pytest.mark.parametrize("deficiency", ["unseen", "duplicate"])
+def test_rank_deficient_matches_scipy(deficiency, box):
+    # a variable no row sees, or a column repeated under a second variable:
+    # A has a null direction, so the solve has a redundant equation; with a
+    # tied cost the LP stays bounded, otherwise it is unbounded along it
+    rng = np.random.Generator(np.random.Philox(11))
+    statuses = set()
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        A = rng.normal(size=(int(rng.integers(1, 9)), n))
+        if box:
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+        c = rng.normal(size=n)
+        j, k = rng.choice(n, size=2, replace=False)
+        A[:, j] = 0.0 if deficiency == "unseen" else A[:, k]
+        if rng.random() < 0.5:
+            c[j] = 0.0 if deficiency == "unseen" else c[k]
+        b = A @ rng.normal(size=n) - rng.uniform(0.1, 1.0, size=A.shape[0])
+        p = LpProblem(c=c, A=A, b=b)
+        ours = lp_solve(p)
+        ref = linprog(-c, A_ub=-A, b_ub=-b, bounds=[(None, None)] * n,
+                      method="highs")
+        assert ours.status == {0: "optimal", 2: "infeasible",
+                               3: "unbounded"}[ref.status]
+        if ours.optimal:
+            assert ours.objective == pytest.approx(-ref.fun, abs=1e-7)
+        statuses.add(ours.status)
+    assert statuses == {"optimal", "unbounded"}
+
+
 def test_dual_certificate_on_random_optima():
     rng = np.random.Generator(np.random.Philox(7))
     seen = 0

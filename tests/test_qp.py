@@ -80,6 +80,19 @@ def test_matches_bruteforce_on_500_random_instances():
         assert sol.residuals["complementarity"] <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_scaled_instances_converge(scale):
+    # scaling c and h scales the optimizer; the stationarity test must
+    # scale with the iterate, or round-off in the step never falls below it
+    rng = np.random.Generator(np.random.Philox(99))
+    for _ in range(200):
+        P, c, G, h = random_qp(rng)
+        ref = solve_qp(QpProblem(P=P, c=c, G=G, h=h))
+        sol = solve_qp(QpProblem(P=P, c=scale * c, G=G, h=scale * h))
+        assert sol.optimal
+        np.testing.assert_allclose(sol.z / scale, ref.z, rtol=0, atol=1e-10)
+
+
 def test_deterministic_resolve():
     rng = np.random.Generator(np.random.Philox(5))
     P, c, G, h = random_qp(rng)
