@@ -24,6 +24,7 @@ from .errors import (
     SingularInertia,
     TooManyHalfspaces,
     UnboundedPositions,
+    UsageError,
     ValidationError,
 )
 from .lp import LpProblem, LpSolution, lp_feasible_point, lp_solve

@@ -1,20 +1,19 @@
 """Command-line surface: construct | verify | simulate | sweep.
 
-Exit codes (stable contract):
-  0   success
-  2   parameter violation (gamma * delta <= epsilon, insufficient actuation)
-  3   geometry failure (unbounded or empty constraint set, bad spec file)
-  4   boundary condition infeasible at some sample
-  5   runtime infeasibility during simulation
-  64  usage error
+Exit codes (stable contract): 0 on success and 4 when the boundary
+condition fails at some sample; otherwise the `exit_code` of the package
+error raised.  A spec or barrier field that is missing or malformed
+exits 3, any other malformed input field or argument 64, a design
+parameter that fails its gate (gamma * delta <= epsilon, insufficient
+actuation, c_alpha * dt > 1) 2, and any failure while running 5.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +26,7 @@ from .cbf import (
     velocity_bound,
     verify_safety_condition,
 )
-from .errors import (
-    AssumptionViolated,
-    EmptySet,
-    InsufficientActuation,
-    ParameterViolation,
-    QpInfeasibleAt,
-    TooManyHalfspaces,
-    UnboundedPositions,
-    ValidationError,
-)
+from .errors import PolysafeError, UsageError, ValidationError, parsing
 from .inputs import input_set_from_dict
 from .plant import (
     ArmParams,
@@ -53,64 +43,68 @@ from .qp import QpWeights
 from .sim import Scenario, audit_invariance, simulate
 
 EXIT_OK = 0
-EXIT_PARAMETER = 2
-EXIT_GEOMETRY = 3
 EXIT_CONDITION = 4
-EXIT_RUNTIME = 5
-EXIT_USAGE = 64
-
-_PARAMETER_ERRORS = (ParameterViolation, InsufficientActuation)
-_GEOMETRY_ERRORS = (UnboundedPositions, EmptySet, AssumptionViolated,
-                    ValidationError, TooManyHalfspaces)
 
 
-class UsageError(Exception):
-    pass
-
-
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
-        with open(path) as f:
+        with open(Path(path)) as f:
             return json.load(f)
-    except FileNotFoundError as exc:
-        raise UsageError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
         raise UsageError(f"not valid JSON: {path} ({exc})") from exc
 
 
-@contextlib.contextmanager
-def _field(name: str, error=UsageError):
-    """Report a value read under `name` that is missing or malformed as `error`."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise error(f"{name} missing or malformed: {exc!r}") from exc
+def _load_config(path) -> dict:
+    """A scenario file, which must hold a JSON object."""
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise UsageError(f"scenario must be a JSON object, not {type(raw).__name__}")
+    return raw
 
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc}") from exc
     return out
 
 
-def _plant_from_config(cfg: dict):
-    with _field("plant"):
+def _seed(raw: dict, override) -> int:
+    with parsing("seed"):
+        seed = override if override is not None else int(raw.get("seed", 42))
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def _plant_from_config(cfg: dict, n: int):
+    """(plant, arm parameters or None) for a spec of dimension n."""
+    with parsing("plant"):
         kind = cfg.get("type", "two_link_arm")
-        if kind == "two_link_arm":
-            params = ArmParams(
-                m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
-                l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
-                gravity=bool(cfg.get("gravity", False)),
-            )
-            return two_link_arm(params), params
+        if kind not in ("two_link_arm", "double_integrator"):
+            raise ValueError(f"unknown plant type {kind!r}")
+        plant_n = 2 if kind == "two_link_arm" else int(cfg.get("n", n))
+        if plant_n != n:
+            raise ValueError(f"{kind} has n = {plant_n}, the spec n = {n}")
         if kind == "double_integrator":
-            return double_integrator(int(cfg.get("n", 1))), None
-    raise UsageError(f"unknown plant type {kind!r}")
+            return double_integrator(n), None
+        params = ArmParams(
+            m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
+            l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
+            gravity=bool(cfg.get("gravity", False)),
+        )
+        return two_link_arm(params), params
 
 
-def _input_set_from_config(ctrl: dict):
-    with _field("controller.input_set"):
-        return input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
+def _input_set_from_config(ctrl: dict, m: int):
+    with parsing("controller.input_set"):
+        input_set = input_set_from_dict(ctrl.get("input_set", {"type": "unbounded"}))
+        input_set.rows(m)   # its rows must fit the plant's m inputs
+    return input_set
 
 
 def _nominal_from_config(cfg: dict, params):
@@ -120,48 +114,45 @@ def _nominal_from_config(cfg: dict, params):
     if kind == "tracking":
         if params is None:
             raise UsageError("tracking nominal controller requires the arm plant")
-        ref_cfg = cfg.get("reference", {})
-        ref = SineReference(
-            amplitudes=tuple(ref_cfg.get("amplitudes", (np.pi, np.pi / 2))),
-            frequencies=tuple(ref_cfg.get("frequencies", (1.0, 4.0))),
-        )
+        with parsing("controller.reference"):
+            ref = SineReference(**cfg.get("reference", {}))
         return nominal_tracking(params, ref)
     raise UsageError(f"unknown nominal controller {kind!r}")
 
 
-def _load_scenario(path, seed_override=None):
-    """Scenario file -> (Scenario, plant params, raw dict)."""
-    raw = _load_json(path)
-    with _field("spec", ValidationError):
+def _load_scenario(path, seed_override=None) -> Scenario:
+    raw = _load_config(path)
+    with parsing("spec", ValidationError):
         spec = SafetySpec.from_dict(_load_json(raw["spec_file"]) if "spec_file" in raw
                                     else raw["spec"])
     cbf_cfg = raw.get("cbf", {})
-    with _field("cbf.witness"):
+    with parsing("cbf.witness"):
         y = cbf_cfg.get("witness")
         witness = None if y is None else np.array(y, dtype=float).reshape(spec.n)
     cert = compute_cert(spec, overrides=witness)
-    with _field("cbf"):
+    with parsing("cbf"):
         cbf = build(spec, cert, float(cbf_cfg.get("gamma", 1.0)),
                     float(cbf_cfg.get("epsilon", cert.delta / 2)))
-    plant, params = _plant_from_config(raw.get("plant", {}))
+    plant, params = _plant_from_config(raw.get("plant", {}), spec.n)
     ctrl = raw.get("controller", {})
-    with _field("controller.weights"):
+    with parsing("controller.weights"):
         weights = QpWeights(**ctrl.get("weights", {}))
-    input_set = _input_set_from_config(ctrl)
-    with _field("scenario"):
-        seed = seed_override if seed_override is not None else int(raw.get("seed", 42))
-        sc = Scenario(
+        # from a file, Q is "identity" or a matrix, which need no state
+        if weights.Q_at(None, plant.m).shape != (plant.m, plant.m):
+            raise ValueError(f"Q must be {plant.m} x {plant.m}")
+    input_set = _input_set_from_config(ctrl, plant.m)
+    with parsing("scenario"):
+        return Scenario(
             cbf=cbf, plant=plant, mode=ctrl.get("mode", "safeguarded"),
             x0=np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float),
             t_final=float(raw.get("t_final", 10.0)), dt=float(raw.get("dt", 1e-3)),
             nominal=_nominal_from_config(ctrl, params), weights=weights,
-            input_set=input_set, seed=seed)
-    return sc, params, raw
+            input_set=input_set, seed=_seed(raw, seed_override))
 
 
 def cmd_construct(args) -> int:
     spec = SafetySpec.from_dict(_load_json(args.specfile))
-    with _field("--witness"):
+    with parsing("--witness"):
         witness = (np.array([float(v) for v in args.witness.split(",")]).reshape(spec.n)
                    if args.witness else None)
     cert = compute_cert(spec, overrides=witness)
@@ -171,7 +162,7 @@ def cmd_construct(args) -> int:
         if args.resolution < 2:
             raise UsageError(f"--resolution must be at least 2, got {args.resolution}")
         plant, _ = _plant_from_config(
-            {"type": "two_link_arm", "gravity": args.gravity})
+            {"type": "two_link_arm", "gravity": args.gravity}, spec.n)
         constants = estimate_constants(plant, spec, resolution=args.resolution)
         gamma, epsilon = select_gamma(constants, args.d, spec, cert)
         print(f"auto-selected gamma = {gamma:.9g}, epsilon = {epsilon:.9g} "
@@ -196,13 +187,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with _field("barrier file", ValidationError):
+    with parsing("barrier file", ValidationError):
         cbf = cbf_from_dict(_load_json(args.cbffile))
-    raw = _load_json(args.scenariofile)
-    with _field("scenario"):
-        plant, _ = _plant_from_config(raw.get("plant", {}))
-        input_set = _input_set_from_config(raw.get("controller", {}))
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 42))
+    raw = _load_config(args.scenariofile)
+    plant, _ = _plant_from_config(raw.get("plant", {}), cbf.n)
+    input_set = _input_set_from_config(raw.get("controller", {}), plant.m)
+    seed = _seed(raw, args.seed)
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if args.samples == 0:
         print("warning: 0 samples requested; condition vacuously verified")
         return EXIT_OK
@@ -247,24 +239,14 @@ def _write_plots(outdir: Path, log, sc: Scenario) -> None:
     barrier.write(outdir / "barrier.svg")
 
 
-def _precheck_condition(sc: Scenario, samples: int) -> float:
-    X = sample_boundary(sc.cbf, samples, sc.seed)
-    report = verify_safety_condition(sc.cbf, sc.plant, sc.input_set, X)
-    if not report.all_feasible:
-        raise AssumptionViolated(
-            f"boundary condition failed pre-check "
-            f"(worst margin {report.worst_margin:.6g})"
-        )
-    return report.worst_margin
-
-
 def cmd_simulate(args) -> int:
-    sc, _, _ = _load_scenario(args.scenariofile, seed_override=args.seed)
+    sc = _load_scenario(args.scenariofile, seed_override=args.seed)
     if sc.mode == "safeguarded" and not args.skip_verify:
-        try:
-            _precheck_condition(sc, samples=50)
-        except AssumptionViolated as exc:
-            print(str(exc))
+        X = sample_boundary(sc.cbf, 50, sc.seed)
+        report = verify_safety_condition(sc.cbf, sc.plant, sc.input_set, X)
+        if not report.all_feasible:
+            print(f"boundary condition failed pre-check "
+                  f"(worst margin {report.worst_margin:.6g})")
             return EXIT_CONDITION
     log = simulate(sc)
     outdir = _outdir(args)
@@ -285,17 +267,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    with parsing("--values"):
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values or any(v <= 0 for v in values):
         raise UsageError("--values needs a nonempty comma list of positive numbers")
-    sc0, params, raw = _load_scenario(args.scenariofile, seed_override=args.seed)
+    sc0 = _load_scenario(args.scenariofile, seed_override=args.seed)
     delta = sc0.cbf.cert.delta
     rows = []
     for gamma in values:
-        cbf = build(sc0.cbf.spec, sc0.cbf.cert, gamma, gamma * delta / 2)
-        sc = Scenario(cbf=cbf, plant=sc0.plant, mode=sc0.mode, x0=sc0.x0,
-                      t_final=sc0.t_final, dt=sc0.dt, nominal=sc0.nominal,
-                      weights=sc0.weights, input_set=sc0.input_set, seed=sc0.seed)
+        sc = replace(sc0, cbf=build(sc0.cbf.spec, sc0.cbf.cert, gamma, gamma * delta / 2))
         log = simulate(sc)
         n = sc.plant.n
         max_u = float(np.linalg.norm(log.u, axis=1).max())
@@ -358,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="compare runs across gamma values")
     w.add_argument("scenariofile")
-    w.add_argument("--param", default="gamma", choices=["gamma"])
     w.add_argument("--values", required=True,
                    help="comma-separated positive gamma values")
     common(w)
@@ -371,21 +350,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_OK if exc.code in (0, None) else UsageError.exit_code
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PARAMETER_ERRORS as exc:
-        print(f"parameter violation: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except _GEOMETRY_ERRORS as exc:
-        print(f"geometry failure: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except QpInfeasibleAt as exc:
-        print(f"runtime infeasibility: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except PolysafeError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

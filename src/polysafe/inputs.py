@@ -21,9 +21,6 @@ class Unbounded:
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         return True
 
-    def to_dict(self) -> dict:
-        return {"type": "unbounded"}
-
 
 @dataclass(frozen=True)
 class Box:
@@ -33,8 +30,8 @@ class Box:
 
     def __post_init__(self):
         lim = np.atleast_1d(np.asarray(self.limits, dtype=float))
-        if (lim <= 0).any():
-            raise ValueError("box limits must be positive")
+        if not ((lim > 0) & (lim < np.inf)).all():
+            raise ValueError("box limits must be positive and finite")
         object.__setattr__(self, "limits", lim)
 
     def rows(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,9 +43,6 @@ class Box:
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         lim = np.broadcast_to(self.limits, np.shape(u))
         return bool((np.abs(u) <= lim + tol).all())
-
-    def to_dict(self) -> dict:
-        return {"type": "box", "limits": list(np.atleast_1d(self.limits))}
 
 
 @dataclass(frozen=True)
@@ -64,8 +58,8 @@ class PolytopicBall:
     facets: int = 16
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.d < np.inf:
+            raise ValueError("ball radius must be positive and finite")
         if self.facets < 3:
             raise ValueError("need at least 3 facets")
 
@@ -77,14 +71,11 @@ class PolytopicBall:
             G = np.column_stack([np.cos(angles), np.sin(angles)])
             h = np.full(self.facets, self.d * np.cos(np.pi / self.facets))
             return G, h
-        raise NotImplementedError("polytopic ball supports m <= 2")
+        raise ValueError("polytopic ball supports m <= 2")
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         G, h = self.rows(np.atleast_1d(u).size)
         return bool((G @ np.atleast_1d(u) <= h + tol).all())
-
-    def to_dict(self) -> dict:
-        return {"type": "ball", "d": self.d, "facets": self.facets}
 
 
 def input_set_from_dict(d: dict):

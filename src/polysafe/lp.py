@@ -32,12 +32,11 @@ _BLAND_AFTER = 60  # consecutive degenerate pivots before switching rules
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c @ x subject to A @ x >= b (set maximize=False to minimize)."""
+    """max c @ x subject to A @ x >= b."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    maximize: bool = True
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -56,7 +55,7 @@ class LpProblem:
 class LpSolution:
     """Status-tagged solve result.
 
-    For an `optimal` maximize-form solve, `dual` holds multipliers mu >= 0
+    For an `optimal` solve, `dual` holds multipliers mu >= 0
     with c + A.T @ mu = 0 and mu_i * (a_i @ x - b_i) = 0; the dual
     objective is -b @ mu.  For `unbounded`, `ray` is an improving
     direction (inf-norm 1) that stays feasible.
@@ -137,8 +136,7 @@ def _simplex_core(t: _Tableau):
 
 def lp_solve(p: LpProblem) -> LpSolution:
     """Solve a dense LP; see LpProblem/LpSolution for conventions."""
-    c = p.c if p.maximize else -p.c
-    A, b = p.A, p.b
+    c, A, b = p.c, p.A, p.b
     m, n = A.shape
 
     # the dual  min -b @ mu  s.t.  A.T @ mu = -c, mu >= 0, each row signed
@@ -184,10 +182,7 @@ def lp_solve(p: LpProblem) -> LpSolution:
     x[keep] = -sign[keep] * y
     mu = np.zeros(m)
     mu[t2.basis] = xB
-    objective = float(c @ x)
-    if not p.maximize:
-        objective, mu = -objective, -mu
-    return LpSolution(status="optimal", x=x, objective=objective, dual=mu)
+    return LpSolution(status="optimal", x=x, objective=float(c @ x), dual=mu)
 
 
 def lp_feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

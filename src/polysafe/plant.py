@@ -91,8 +91,8 @@ class ArmParams:
     g: float = GRAVITY
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.l1, self.l2) <= 0:
-            raise ValueError("masses and lengths must be positive")
+        if not all(0 < v < np.inf for v in (self.m1, self.m2, self.l1, self.l2)):
+            raise ValueError("masses and lengths must be positive and finite")
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
         k = m2 * l1 * l2
         # built once: the dynamics read it several times per evaluation
@@ -212,6 +212,13 @@ class SineReference:
 
     amplitudes: tuple[float, float] = (np.pi, np.pi / 2)
     frequencies: tuple[float, float] = (1.0, 4.0)
+
+    def __post_init__(self):
+        for name in ("amplitudes", "frequencies"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (2,) or not np.isfinite(v).all():
+                raise ValueError(f"{name} must be two finite numbers")
+            object.__setattr__(self, name, tuple(v.tolist()))
 
     def r(self, t: float) -> np.ndarray:
         a, w = self.amplitudes, self.frequencies

@@ -45,23 +45,20 @@ class SvgChart:
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self._series: list[tuple[np.ndarray, np.ndarray, str, str, str]] = []
-        self._polygons: list[tuple[np.ndarray, str]] = []
+        self._series: list[tuple[np.ndarray, np.ndarray, str, str]] = []
+        self._polygons: list[np.ndarray] = []
 
-    def add_line(self, x, y, label: str = "", color: str | None = None,
-                 dash: str = "") -> None:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if color is None:
-            color = _COLORS[len(self._series) % len(_COLORS)]
-        self._series.append((x, y, label, color, dash))
+    def add_line(self, x, y, label: str = "") -> None:
+        color = _COLORS[len(self._series) % len(_COLORS)]
+        self._series.append((np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                             label, color))
 
-    def add_polygon(self, vertices, color: str = "#555555") -> None:
-        self._polygons.append((np.asarray(vertices, dtype=float), color))
+    def add_polygon(self, vertices) -> None:
+        self._polygons.append(np.asarray(vertices, dtype=float))
 
     def _limits(self) -> tuple[float, float, float, float]:
-        xs = [s[0] for s in self._series] + [p[0][:, 0] for p in self._polygons]
-        ys = [s[1] for s in self._series] + [p[0][:, 1] for p in self._polygons]
+        xs = [s[0] for s in self._series] + [p[:, 0] for p in self._polygons]
+        ys = [s[1] for s in self._series] + [p[:, 1] for p in self._polygons]
         allx = np.concatenate(xs) if xs else np.array([0.0, 1.0])
         ally = np.concatenate(ys) if ys else np.array([0.0, 1.0])
         x0, x1 = float(allx.min()), float(allx.max())
@@ -101,19 +98,18 @@ class SvgChart:
                        f'text-anchor="end">{_fmt(t)}</text>')
         out.append(f'<rect x="{_ML}" y="{_MT}" width="{iw}" height="{ih}" '
                    f'fill="none" stroke="#333333"/>')
-        for verts, color in self._polygons:
+        for verts in self._polygons:
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in verts)
-            out.append(f'<polygon points="{pts}" fill="none" stroke="{color}" '
+            out.append(f'<polygon points="{pts}" fill="none" stroke="#555555" '
                        f'stroke-dasharray="5,4" stroke-width="1.5"/>')
-        for x, y, _, color, dash in self._series:
+        for x, y, _, color in self._series:
             keep = np.isfinite(x) & np.isfinite(y)
             pts = " ".join(f"{px(a):.2f},{py(b):.2f}"
                            for a, b in zip(x[keep], y[keep]))
-            extra = f' stroke-dasharray="{dash}"' if dash else ""
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"{extra}/>')
+                       f'stroke-width="1.5"/>')
         ly = _MT + 14
-        for _, _, label, color, _ in self._series:
+        for _, _, label, color in self._series:
             if not label:
                 continue
             out.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" '

@@ -25,6 +25,7 @@ from .errors import (
     TooManyHalfspaces,
     UnboundedPositions,
     ValidationError,
+    parsing,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
 
@@ -158,18 +159,14 @@ class SafetySpec:
         if not isinstance(d, dict):
             raise ValidationError(f"spec must be a JSON object, not {type(d).__name__}")
 
-        def field(key, parse):
-            try:
-                return parse(d[key])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"spec field {key!r} missing or malformed: {exc!r}") from exc
-
-        hs = field("halfspaces", lambda es: tuple(
-            HalfSpace(np.array(e["a"], dtype=float), float(e["b"])) for e in es))
-        terms = field("terms", lambda ts: tuple(tuple(int(i) - 1 for i in t)
-                                                for t in ts))
-        return cls(halfspaces=hs, terms=terms, n=field("n", int))
+        with parsing("spec field 'halfspaces'", ValidationError):
+            hs = tuple(HalfSpace(np.array(e["a"], dtype=float), float(e["b"]))
+                       for e in d["halfspaces"])
+        with parsing("spec field 'terms'", ValidationError):
+            terms = tuple(tuple(int(i) - 1 for i in t) for t in d["terms"])
+        with parsing("spec field 'n'", ValidationError):
+            n = int(d["n"])
+        return cls(halfspaces=hs, terms=terms, n=n)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -294,26 +291,22 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
 def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     """Assemble the geometry certificate.
 
-    `overrides` pins witness points: either a map {frozenset -> y} or a
-    single point applied to every index set (the common case of one
-    deep-interior point).  Raises UnboundedPositions if any term is an
-    unbounded polytope, AssumptionViolated if a witness fails its strict
-    margin.
+    `overrides`, if given, is one point pinned as the witness of every
+    index set.  Raises UnboundedPositions if any term is an unbounded
+    polytope, AssumptionViolated if a witness fails its strict margin.
     """
     for li in range(len(spec.terms)):
         if not is_bounded(*spec.rows.term_rows(li)[:2]):
             raise UnboundedPositions(f"term {li} is unbounded")
     s_cap = enumerate_s_cap(spec)
-    if overrides is not None and not isinstance(overrides, dict):
-        point = np.asarray(overrides, dtype=float)
-        overrides = {I: point for I in s_cap}
+    pinned = None if overrides is None else np.asarray(overrides, dtype=float)
     witnesses: dict[frozenset[int], np.ndarray] = {}
     delta = np.inf
     # each I as a term: its minimum at y is min over I of h_i(y)
     index_rows = TermRows(spec.A, spec.offsets, tuple(sorted(I) for I in s_cap))
     for ell, I in enumerate(s_cap):
-        if overrides is not None and I in overrides:
-            y = np.asarray(overrides[I], dtype=float)
+        if pinned is not None:
+            y = pinned
             margin = float(max_min(index_rows, y)[1][ell])
             if margin <= 0.0 or not contains(spec, y):
                 raise AssumptionViolated(

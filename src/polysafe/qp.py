@@ -25,6 +25,7 @@ from .plant import rk4_step
 
 _OPT_TOL = 1e-9
 _MAX_ITER = 200
+FEASIBILITY_MARGIN = 0.1  # the filter refuses states with B below -this
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
 class QpWeights:
     """Cost weights of the safeguarding program.
 
-    Q may be a matrix, "identity", or a callable of the state; q is an
-    optional callable giving the linear input cost when no nominal
-    command is supplied.
+    Q, the input cost, is "identity", a symmetric positive definite
+    matrix, or a callable of the state.
     """
 
     q_alpha: float = 1e4
@@ -179,24 +179,30 @@ class QpWeights:
     c_alpha: float = 40.0
     c_M: float = 1.0
     Q: object = "identity"
-    q: object = None
 
     def __post_init__(self):
         for name in ("q_alpha", "q_M", "c_alpha", "c_M"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if isinstance(self.Q, str):
+            if self.Q != "identity":
+                raise ValueError(f"Q must be 'identity' or a matrix, not {self.Q!r}")
+        elif not callable(self.Q):
+            Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+            if not (Q.ndim == 2 and np.isfinite(Q).all() and np.array_equal(Q, Q.T)):
+                raise ValueError("Q must be a finite symmetric matrix")
+            try:
+                np.linalg.cholesky(Q)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("Q must be positive definite") from exc
+            object.__setattr__(self, "Q", Q)
 
     def Q_at(self, x: np.ndarray, m: int) -> np.ndarray:
         if callable(self.Q):
             return np.atleast_2d(np.asarray(self.Q(x), dtype=float))
         if isinstance(self.Q, str):
             return np.eye(m)
-        return np.atleast_2d(np.asarray(self.Q, dtype=float))
-
-    def q_at(self, x: np.ndarray, m: int) -> np.ndarray:
-        if self.q is None:
-            return np.zeros(m)
-        return np.atleast_1d(np.asarray(self.q(x), dtype=float))
+        return self.Q
 
     def to_dict(self) -> dict:
         d = {"q_alpha": self.q_alpha, "q_M": self.q_M,
@@ -242,8 +248,7 @@ class SafeguardAssembler:
     """
 
     def __init__(self, cbf: ExtendedCbf, plant, weights: QpWeights,
-                 input_set=None, feasibility_margin: float = 0.1,
-                 dt: float | None = None):
+                 input_set=None, dt: float | None = None):
         if dt is not None and not dt > 0:
             raise ValueError("dt must be positive")
         if dt is not None and weights.c_alpha * dt > 1.0:
@@ -254,7 +259,6 @@ class SafeguardAssembler:
         self.plant = plant
         self.weights = weights
         self.input_set = input_set if input_set is not None else Unbounded()
-        self.feasibility_margin = feasibility_margin
         self.dt = dt
         self.m = m = plant.m
         self.row_labels = tuple(zip(cbf.rows.row_term.tolist(), cbf.rows.ids))
@@ -299,7 +303,7 @@ class SafeguardAssembler:
 
     def solve(self, x: np.ndarray, u_nom: np.ndarray | None = None,
               warm_start: bool = False) -> SafeguardResult:
-        """Filter u_nom (or minimize the weights' input cost) at state x.
+        """Filter u_nom (zero when None) at state x.
 
         warm_start: consecutive calls along one trajectory; the previous
         optimizer seeds the active-set start and, with a hold period, is
@@ -309,32 +313,28 @@ class SafeguardAssembler:
         rows = self.cbf.rows
         x = np.asarray(x, dtype=float)
         act = eval_B(self.cbf, x)
-        if act.value < -self.feasibility_margin:
+        if act.value < -FEASIBILITY_MARGIN:
             raise Infeasible(
                 f"state outside the feasibility neighborhood (B = {act.value:.4g})"
             )
         Bi = act.row_values
         lift = act.value - act.per_term_min[rows.row_term]
         Qx = w.Q_at(x, m)
-        if u_nom is not None:
-            u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-            qvec = -2.0 * Qx @ u_nom
-            u_center = u_nom
-        else:
-            qvec = w.q_at(x, m)
-            u_center = np.linalg.solve(2.0 * Qx, -qvec)
+        u_nom = (np.zeros(m) if u_nom is None
+                 else np.atleast_1d(np.asarray(u_nom, dtype=float)))
+        qvec = -2.0 * Qx @ u_nom
 
         # candidate: u unconstrained-optimal, alpha and M at their lower
         # bounds with positive multipliers; globally optimal if feasible
-        z_cand = np.concatenate([u_center, [w.c_alpha, w.c_M]])
+        z_cand = np.concatenate([u_nom, [w.c_alpha, w.c_M]])
         if dt is None:
             d, S = self._instant_rate(x)
-            rate = d + S @ u_center
+            rate = d + S @ u_nom
         else:
-            rate = (rk4_step(self.plant, u_center, x, dt) - x) / dt
+            rate = (rk4_step(self.plant, u_nom, x, dt) - x) / dt
         margins = rows.A @ rate + w.c_alpha * Bi + w.c_M * lift
         if ((margins >= -1e-11).all()
-                and (self._Gu_rows @ u_center <= self._hu + 1e-11).all()):
+                and (self._Gu_rows @ u_nom <= self._hu + 1e-11).all()):
             if warm_start:
                 self._warm = z_cand
             return SafeguardResult(u_star=z_cand[:m], alpha_star=float(z_cand[m]),
@@ -344,7 +344,7 @@ class SafeguardAssembler:
 
         if dt is not None:
             warm = warm_start and self._warm is not None
-            d, S = self._held_rate(x, self._warm[:m] if warm else u_center)
+            d, S = self._held_rate(x, self._warm[:m] if warm else u_nom)
         # rows coef @ z + const >= 0 over z = (u, alpha, M)
         coef = np.column_stack([rows.A @ S, Bi, lift])
         const = rows.A @ d
@@ -372,10 +372,9 @@ class SafeguardAssembler:
 
 
 def safeguard(cbf: ExtendedCbf, plant, weights: QpWeights, input_set, x,
-              u_nom=None, feasibility_margin: float = 0.1) -> SafeguardResult:
+              u_nom=None) -> SafeguardResult:
     """One-shot safeguarding solve; see SafeguardAssembler for the loop API."""
-    asm = SafeguardAssembler(cbf, plant, weights, input_set,
-                             feasibility_margin=feasibility_margin)
+    asm = SafeguardAssembler(cbf, plant, weights, input_set)
     return asm.solve(np.asarray(x, dtype=float), u_nom=u_nom)
 
 

@@ -37,15 +37,15 @@ class Scenario:
     seed: int = 42
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final!r}")
         if self.mode not in ("nominal", "safeguarded"):
             raise ValueError(f"unknown mode {self.mode!r}")
         x0 = np.asarray(self.x0, dtype=float)
-        if x0.size != 2 * self.cbf.n:
-            raise ValueError(f"initial state must have dimension {2 * self.cbf.n}")
+        if x0.size != 2 * self.cbf.n or not np.isfinite(x0).all():
+            raise ValueError(f"initial state must be finite with dimension {2 * self.cbf.n}")
         object.__setattr__(self, "x0", x0)
 
 

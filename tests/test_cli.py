@@ -2,8 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polysafe
+from polysafe import cli
 from polysafe.cli import main
 from polysafe.polytope import hexagon_spec
 
@@ -301,3 +306,158 @@ def test_sweep_empty_values_exit_64(tmp_path, specfile):
     scenario = _scenario(tmp_path, specfile)
     assert main(["sweep", str(scenario), "--values", "",
                  "--out", str(tmp_path)]) == 64
+
+
+def _sweep_with(*extra, scenario=None):
+    def argv(tmp_path, specfile):
+        path = _scenario(tmp_path, specfile, t_final=0.01)
+        if scenario is not None:
+            path.write_text(json.dumps(scenario))
+        return ["sweep", str(path), "--out", str(tmp_path / "s"), *extra]
+    return argv
+
+
+def _verify_args(*extra, **overrides):
+    def argv(tmp_path, specfile):
+        barrier = tmp_path / "out"
+        assert main(["construct", str(specfile), "--gamma", "10", "--epsilon", "0.1",
+                     "--witness", "0,0", "--out", str(barrier)]) == 0
+        return ["verify", str(barrier / "cbf.json"),
+                str(_scenario(tmp_path, specfile, **overrides)),
+                "--samples", "5", "--out", str(tmp_path), *extra]
+    return argv
+
+
+def _simulate_list(tmp_path, specfile):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([1, 2]))
+    return ["simulate", str(path), "--out", str(tmp_path / "r"), "--skip-verify"]
+
+
+def _out_is_file(tmp_path, specfile):
+    (tmp_path / "taken").write_text("")
+    return ["construct", str(specfile), "--gamma", "10", "--epsilon", "0.1",
+            "--out", str(tmp_path / "taken")]
+
+
+def _controller(**fields):
+    return {"controller": {**_TRACKING, **fields}}
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(_simulate_with(t_final=_NAN), "t_final", id="t_final-nan"),
+    pytest.param(_simulate_with(t_final=_INF), "t_final", id="t_final-inf"),
+    pytest.param(_simulate_with(dt=_NAN), "dt", id="dt-nan"),
+    pytest.param(_simulate_with(**_controller(reference={"amplitudes": [1.0]})),
+                 "controller.reference", id="amplitudes-length"),
+    pytest.param(_simulate_with(**_controller(reference={"amplitudes": "ab"})),
+                 "controller.reference", id="amplitudes-text"),
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "box", "limits": [_NAN, 1.0]})),
+        "controller.input_set", id="box-nan"),
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "box", "limits": [_INF, _INF]})),
+        "controller.input_set", id="box-inf"),
+    pytest.param(_simulate_with(**_controller(input_set={"type": "ball", "d": _NAN})),
+                 "controller.input_set", id="ball-nan"),
+    pytest.param(_simulate_with(**_controller(input_set={"type": "ball", "d": _INF})),
+                 "controller.input_set", id="ball-inf"),
+    pytest.param(_simulate_with(**_controller(weights={"q_alpha": _NAN})),
+                 "controller.weights", id="q_alpha-nan"),
+    pytest.param(_simulate_with(**_controller(weights={"Q": [[1.0, 0.0], [0.0]]})),
+                 "controller.weights", id="Q-ragged"),
+    pytest.param(_simulate_with(**_controller(weights={"Q": [[1.0, 2.0], [2.0, 1.0]]})),
+                 "controller.weights", id="Q-not-pd"),
+    pytest.param(_simulate_with(**_controller(weights={"Q": "diagonal"})),
+                 "controller.weights", id="Q-text"),
+    pytest.param(_simulate_with(plant={"type": "double_integrator", "n": 3},
+                                controller={"mode": "safeguarded", "nominal": "zero"}),
+                 "plant", id="plant-n"),
+    pytest.param(_simulate_list, "scenario", id="simulate-list"),
+    pytest.param(_sweep_with("--values", "1", scenario=[1, 2]), "scenario",
+                 id="sweep-list"),
+    pytest.param(_sweep_with("--values", "a,b"), "--values", id="sweep-values"),
+    pytest.param(_verify_args("--samples", "-1"), "--samples", id="samples-negative"),
+    pytest.param(_verify_args("--seed", "-1"), "seed", id="seed-argument"),
+    pytest.param(_verify_args(seed=-1), "seed", id="seed-field"),
+    pytest.param(_out_is_file, "--out", id="out-is-file"),
+    pytest.param(lambda tmp_path, specfile: [
+        "construct", str(tmp_path), "--gamma", "10", "--epsilon", "0.1"],
+        "cannot read", id="spec-is-directory"),
+])
+def test_malformed_input_exits_64_naming_field(tmp_path, specfile, capsys, argv,
+                                                field):
+    assert main(argv(tmp_path, specfile)) == 64
+    assert field in capsys.readouterr().err
+
+
+# the documented exit code of every exported error class; 4 belongs to the
+# condition check alone
+_EXIT_CODES = {
+    "PolysafeError": 5, "ValidationError": 3, "UsageError": 64,
+    "NumericalBreakdown": 5, "EmptySet": 3, "TooManyHalfspaces": 3,
+    "AssumptionViolated": 3, "UnboundedPositions": 3, "ParameterViolation": 2,
+    "NotInC": 5, "EmptyFacet": 5, "NotRightInvertible": 5,
+    "NotPositiveDefinite": 5, "Infeasible": 5, "InsufficientActuation": 2,
+    "SingularInertia": 5, "NoSplit": 5, "QpInfeasibleAt": 5, "NonFinite": 5,
+}
+_ERROR_CLASSES = sorted(
+    name for name in polysafe.__all__
+    if isinstance(getattr(polysafe, name), type)
+    and issubclass(getattr(polysafe, name), polysafe.PolysafeError))
+
+
+@pytest.mark.parametrize("name", _ERROR_CLASSES)
+def test_every_error_class_exits_with_its_code(tmp_path, specfile, capsys,
+                                               monkeypatch, name):
+    error = getattr(polysafe, name)
+
+    def command(args):
+        raise (error(0.0, np.zeros(4), "probe") if error is polysafe.QpInfeasibleAt
+               else error("probe"))
+
+    monkeypatch.setattr(cli, "cmd_construct", command)
+    code = main(["construct", str(specfile), "--out", str(tmp_path)])
+    assert code == _EXIT_CODES[name] == error.exit_code
+    assert f"{name}: " in capsys.readouterr().err
+
+
+_FUZZ_FIELDS = [
+    ("t_final",), ("dt",), ("seed",), ("spec_file",), ("initial_state",),
+    ("initial_state", 0), ("cbf",), ("cbf", "gamma"), ("cbf", "epsilon"),
+    ("cbf", "witness"), ("plant",), ("plant", "type"), ("plant", "m1"),
+    ("plant", "l2"), ("plant", "n"), ("controller",), ("controller", "mode"),
+    ("controller", "nominal"), ("controller", "reference"),
+    ("controller", "reference", "amplitudes"),
+    ("controller", "reference", "frequencies", 1), ("controller", "weights"),
+    ("controller", "weights", "q_alpha"), ("controller", "weights", "c_M"),
+    ("controller", "weights", "Q"), ("controller", "input_set"),
+    ("controller", "input_set", "type"), ("controller", "input_set", "limits"),
+    ("controller", "input_set", "limits", 1),
+]
+_MALFORMED = [_NAN, _INF, -_INF, 0, 0.0, -1, -0.5, "", "x", None, False, [], {},
+              [_NAN], [-1.0, 1.0], [[1.0, 0.0], [0.0]], {"x": 1.0}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(_FUZZ_FIELDS), value=st.sampled_from(_MALFORMED))
+def test_fuzz_malformed_scenario_field_exits_with_contract_code(tmp_path_factory,
+                                                                path, value):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    specfile = tmp_path / "hexagon.json"
+    specfile.write_text(json.dumps(hexagon_spec().to_dict()))
+    cfg = json.loads(_scenario(tmp_path, specfile, t_final=0.02).read_text())
+    cfg["controller"].update(reference={"amplitudes": [1.0, 0.5],
+                                        "frequencies": [1.0, 4.0]},
+                             input_set={"type": "box", "limits": [1e3, 1e3]})
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / "scenario.json").write_text(json.dumps(cfg))
+    code = main(["simulate", str(tmp_path / "scenario.json"),
+                 "--out", str(tmp_path / "r"), "--skip-verify"])
+    assert code in {0, 2, 3, 4, 5, 64}
