@@ -45,6 +45,14 @@ from .sim import Scenario, audit_invariance, simulate
 EXIT_OK = 0
 EXIT_CONDITION = 4
 
+# the keys each scenario section may hold
+_SCENARIO_KEYS = ("spec", "spec_file", "cbf", "plant", "controller",
+                  "initial_state", "t_final", "dt", "seed")
+_CBF_KEYS = ("gamma", "epsilon", "witness")
+_PLANT_KEYS = {"two_link_arm": ("type", "m1", "m2", "l1", "l2", "gravity"),
+               "double_integrator": ("type", "n")}
+_CONTROLLER_KEYS = ("mode", "nominal", "reference", "weights", "input_set")
+
 
 def _load_json(path):
     try:
@@ -56,12 +64,26 @@ def _load_json(path):
         raise UsageError(f"not valid JSON: {path} ({exc})") from exc
 
 
+def _known_keys(cfg, keys) -> dict:
+    """cfg, which must be a JSON object holding no key outside `keys`."""
+    if not isinstance(cfg, dict):
+        raise TypeError(f"expected a JSON object, not {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return cfg
+
+
 def _load_config(path) -> dict:
-    """A scenario file, which must hold a JSON object."""
+    """A scenario file, which must hold a JSON object of known keys."""
     raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise UsageError(f"scenario must be a JSON object, not {type(raw).__name__}")
-    return raw
+    with parsing("scenario"):
+        return _known_keys(raw, _SCENARIO_KEYS)
+
+
+def _controller_config(raw: dict) -> dict:
+    with parsing("controller"):
+        return _known_keys(raw.get("controller", {}), _CONTROLLER_KEYS)
 
 
 def _outdir(args) -> Path:
@@ -85,8 +107,9 @@ def _plant_from_config(cfg: dict, n: int):
     """(plant, arm parameters or None) for a spec of dimension n."""
     with parsing("plant"):
         kind = cfg.get("type", "two_link_arm")
-        if kind not in ("two_link_arm", "double_integrator"):
+        if kind not in _PLANT_KEYS:
             raise ValueError(f"unknown plant type {kind!r}")
+        _known_keys(cfg, _PLANT_KEYS[kind])
         plant_n = 2 if kind == "two_link_arm" else int(cfg.get("n", n))
         if plant_n != n:
             raise ValueError(f"{kind} has n = {plant_n}, the spec n = {n}")
@@ -125,7 +148,8 @@ def _load_scenario(path, seed_override=None) -> Scenario:
     with parsing("spec", ValidationError):
         spec = SafetySpec.from_dict(_load_json(raw["spec_file"]) if "spec_file" in raw
                                     else raw["spec"])
-    cbf_cfg = raw.get("cbf", {})
+    with parsing("cbf"):
+        cbf_cfg = _known_keys(raw.get("cbf", {}), _CBF_KEYS)
     with parsing("cbf.witness"):
         y = cbf_cfg.get("witness")
         witness = None if y is None else np.array(y, dtype=float).reshape(spec.n)
@@ -134,18 +158,23 @@ def _load_scenario(path, seed_override=None) -> Scenario:
         cbf = build(spec, cert, float(cbf_cfg.get("gamma", 1.0)),
                     float(cbf_cfg.get("epsilon", cert.delta / 2)))
     plant, params = _plant_from_config(raw.get("plant", {}), spec.n)
-    ctrl = raw.get("controller", {})
+    ctrl = _controller_config(raw)
     with parsing("controller.weights"):
         weights = QpWeights(**ctrl.get("weights", {}))
         # from a file, Q is "identity" or a matrix, which need no state
         if weights.Q_at(None, plant.m).shape != (plant.m, plant.m):
             raise ValueError(f"Q must be {plant.m} x {plant.m}")
     input_set = _input_set_from_config(ctrl, plant.m)
+    with parsing("initial_state"):
+        x0 = np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float)
+    with parsing("t_final"):
+        t_final = float(raw.get("t_final", 10.0))
+    with parsing("dt"):
+        dt = float(raw.get("dt", 1e-3))
     with parsing("scenario"):
         return Scenario(
             cbf=cbf, plant=plant, mode=ctrl.get("mode", "safeguarded"),
-            x0=np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float),
-            t_final=float(raw.get("t_final", 10.0)), dt=float(raw.get("dt", 1e-3)),
+            x0=x0, t_final=t_final, dt=dt,
             nominal=_nominal_from_config(ctrl, params), weights=weights,
             input_set=input_set, seed=_seed(raw, seed_override))
 
@@ -191,7 +220,7 @@ def cmd_verify(args) -> int:
         cbf = cbf_from_dict(_load_json(args.cbffile))
     raw = _load_config(args.scenariofile)
     plant, _ = _plant_from_config(raw.get("plant", {}), cbf.n)
-    input_set = _input_set_from_config(raw.get("controller", {}), plant.m)
+    input_set = _input_set_from_config(_controller_config(raw), plant.m)
     seed = _seed(raw, args.seed)
     if args.samples < 0:
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
@@ -300,10 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def out(sp):
+        sp.add_argument("--out", default=".", help="output directory")
+
     def common(sp):
         sp.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (default 42)")
-        sp.add_argument("--out", default=".", help="output directory")
+        out(sp)
 
     c = sub.add_parser("construct", help="build and certify an extended barrier")
     c.add_argument("specfile")
@@ -317,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="enable arm gravity for --auto constant estimation")
     c.add_argument("--resolution", type=int, default=60,
                    help="grid resolution for --auto constant estimation")
-    common(c)
+    out(c)
     c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="sample the boundary and check the "

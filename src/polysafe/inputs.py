@@ -78,12 +78,18 @@ class PolytopicBall:
         return bool((G @ np.atleast_1d(u) <= h + tol).all())
 
 
+_FIELDS = {"unbounded": (), "box": ("limits",), "ball": ("d", "facets")}
+
+
 def input_set_from_dict(d: dict):
     kind = d.get("type", "unbounded")
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown input set type {kind!r}")
+    unknown = sorted(set(d) - {"type", *_FIELDS[kind]})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for a {kind} input set")
     if kind == "unbounded":
         return Unbounded()
     if kind == "box":
         return Box(np.array(d["limits"], dtype=float))
-    if kind == "ball":
-        return PolytopicBall(float(d["d"]), int(d.get("facets", 16)))
-    raise ValueError(f"unknown input set type {kind!r}")
+    return PolytopicBall(float(d["d"]), int(d.get("facets", 16)))

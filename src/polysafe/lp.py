@@ -12,8 +12,14 @@ half-space membership requirement).  Its dual
 is in standard form with one equation per variable, so the simplex runs
 on it directly: x is read off its simplex multipliers and mu is its
 basic solution.  Instances in this package are tiny (a few variables,
-tens of rows), so each iteration refactorizes the basis; robustness is
-preferred over speed.
+tens of rows).  Each entry to the simplex loop (phase 1, phase 2)
+factors its starting basis once, as an explicit inverse; each pivot then
+updates that inverse by the rank-1 (eta) formula of the column swap, and
+the basic solution, the multipliers and the entering column are products
+with it.  Pivots are bounded away from zero (PIVOT_TOL), so the update
+stays well defined.  The scipy comparisons, the rank-deficient and
+degenerate instances in tests/test_lp.py and the QP oracle checks built
+on the phase-1 LP guard this arithmetic.
 """
 
 from __future__ import annotations
@@ -89,15 +95,15 @@ def _simplex_core(t: _Tableau):
     """
     As, bs, cs = t.As, t.bs, t.cs
     m = As.shape[0]
+    try:
+        Binv = np.linalg.inv(As[:, t.basis])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown("singular basis in simplex") from exc
     bland = False
     degenerate = 0
     for _ in range(_MAX_ITER):
-        B = As[:, t.basis]
-        try:
-            xB = np.linalg.solve(B, bs)
-            y = np.linalg.solve(B.T, cs[t.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown("singular basis in simplex") from exc
+        xB = Binv @ bs
+        y = cs[t.basis] @ Binv
         reduced = cs - As.T @ y
         reduced[t.basis] = 0.0
         if bland:
@@ -109,7 +115,7 @@ def _simplex_core(t: _Tableau):
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -FEAS_TOL:
                 return "optimal", xB, y
-        d = np.linalg.solve(B, As[:, entering])
+        d = Binv @ As[:, entering]
         positive = d > PIVOT_TOL
         if not positive.any():
             return "unbounded", entering, d
@@ -131,6 +137,10 @@ def _simplex_core(t: _Tableau):
         else:
             degenerate = 0
         t.basis[leaving] = entering
+        # rank-1 (eta) update of the inverse for the column swap
+        pivot_row = Binv[leaving] / d[leaving]
+        Binv -= np.outer(d, pivot_row)
+        Binv[leaving] = pivot_row
     raise NumericalBreakdown("simplex iteration limit reached")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     EmptySet,
+    NumericalBreakdown,
     TooManyHalfspaces,
     UnboundedPositions,
     ValidationError,
@@ -258,7 +259,12 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
 
     Solves one margin-maximization LP per term whose intersection with
     the I half-spaces is nonempty; returns the best point and its margin.
-    Ties across terms break toward the lowest term index.
+    Ties across terms break toward the lowest term index.  The margin LP
+    is degenerate, with a face of maximizers, so the witness is the
+    face's lexicographically smallest point, not whichever vertex the
+    simplex reaches: one LP per coordinate j minimizes x_j with the
+    margin held at its optimum less 1e-12 max(1, |t*|) and x_0..x_{j-1}
+    held at their minima.
     """
     I = frozenset(I)
     idx_I = sorted(I)
@@ -269,23 +275,38 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
         # on I and h_i(x) >= 0 on the term
         idx = idx_I + sorted(t)
         margin_col = np.concatenate([-np.ones(len(idx_I)), np.zeros(len(t))])
+        A, b = np.column_stack([spec.A[idx], margin_col]), -spec.offsets[idx]
         c = np.zeros(n + 1)
         c[-1] = 1.0
-        sol = lp_solve(LpProblem(c=c, A=np.column_stack([spec.A[idx], margin_col]),
-                                 b=-spec.offsets[idx]))
+        sol = lp_solve(LpProblem(c=c, A=A, b=b))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
             raise UnboundedPositions("witness margin LP unbounded; positions not compact")
-        if best is None or sol.objective > best[1] + 1e-12:
-            best = (sol.x[:n], sol.objective)
+        if best is None or sol.objective > best[2] + 1e-12:
+            best = (A, b, sol.objective)
     if best is None:
         raise AssumptionViolated(f"index set {sorted(I)} does not meet the safety set")
-    if best[1] <= 0.0:
+    A, b, margin = best
+    if margin <= 0.0:
         raise AssumptionViolated(
-            f"no interior witness for {sorted(I)}: best margin {best[1]:.3e}"
+            f"no interior witness for {sorted(I)}: best margin {margin:.3e}"
         )
-    return best[0], float(best[1])
+    # the maximizers: t >= t* less the slack; each minimized x_j is then
+    # held by -x_j >= -min x_j
+    A = np.vstack([A, np.eye(n + 1)[-1]])
+    b = np.append(b, margin - 1e-12 * max(1.0, abs(margin)))
+    for j in range(n):
+        c = np.zeros(n + 1)
+        c[j] = -1.0
+        sol = lp_solve(LpProblem(c=c, A=A, b=b))
+        if sol.status == "unbounded":
+            raise UnboundedPositions("witness set unbounded; positions not compact")
+        if not sol.optimal:
+            raise NumericalBreakdown("witness coordinate LP infeasible")
+        A = np.vstack([A, -np.eye(n + 1)[j]])
+        b = np.append(b, -sol.x[j])
+    return sol.x[:n], float(margin)
 
 
 def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:

@@ -44,10 +44,13 @@ class QpProblem:
         h = np.atleast_1d(np.asarray(self.h, dtype=float)).reshape(G.shape[0])
         if np.linalg.norm(P - P.T) > 1e-10:
             raise NotPositiveDefinite("cost matrix is not symmetric")
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("cost matrix failed Cholesky") from exc
+        diag = P.diagonal()
+        # a diagonal P with a positive diagonal is PD as it stands
+        if not ((diag > 0).all() and np.count_nonzero(P) == diag.size):
+            try:
+                np.linalg.cholesky(P)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite("cost matrix failed Cholesky") from exc
         for name, arr in (("P", P), ("c", c), ("G", G), ("h", h)):
             object.__setattr__(self, name, arr)
 
@@ -95,6 +98,12 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     and rows are added/dropped with lowest-index tie-breaking, which
     makes the solve deterministic.  Strict convexity makes the optimum
     unique.
+
+    The working rows stay linearly independent without a rank test: the
+    KKT solve gives Gw @ p = 0, so any row in their span has g @ p = 0 up
+    to round-off, while a blocking row needs g @ p > 1e-12 ||g|| ||p||.
+    The KKT matrix lives in one buffer per solve, its constraint block
+    rewritten whenever the working set changes.
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
@@ -107,44 +116,49 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     else:
         z = start if start is not None else np.zeros(nz)
 
+    g_norm = np.linalg.norm(G, axis=1)
+    K = np.zeros((nz + G.shape[0], nz + G.shape[0]))
+    K[:nz, :nz] = P
+    rhs = np.zeros(nz + G.shape[0])
     work: list[int] = []
+    in_work = np.zeros(G.shape[0], dtype=bool)
     lam_w = np.zeros(0)
     for it in range(_MAX_ITER):
-        Gw = G[work] if work else np.zeros((0, nz))
-        K = np.block([[P, Gw.T], [Gw, np.zeros((len(work), len(work)))]])
-        rhs = np.concatenate([-(P @ z + c), np.zeros(len(work))])
+        k = nz + len(work)
+        rhs[:nz] = -(P @ z + c)
         try:
-            sol = np.linalg.solve(K, rhs)
+            sol = np.linalg.solve(K[:k, :k], rhs[:k])
         except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+            sol, *_ = np.linalg.lstsq(K[:k, :k], rhs[:k], rcond=None)
         step_p = sol[:nz]
         lam_w = sol[nz:]
-        if np.linalg.norm(step_p) <= 1e-11 * max(1.0, np.linalg.norm(z)):
+        p_norm = np.linalg.norm(step_p)
+        if p_norm <= 1e-11 * max(1.0, np.linalg.norm(z)):
             if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
                 break
             worst = int(np.argmin(lam_w))
-            work.pop(worst)
+            in_work[work.pop(worst)] = False
+            K[nz:k - 1, :nz] = G[work]
+            K[:nz, nz:k - 1] = G[work].T
             continue
-        # longest step along p that stays feasible
+        # longest step along p that stays feasible; the lowest index wins
+        # among ratios within 1e-12 of the shortest
         alpha = 1.0
         blocker = None
         if G.size:
             gp = G @ step_p
-            slack = h - G @ z
-            for i in range(G.shape[0]):
-                if i in work or gp[i] <= 1e-12:
-                    continue
-                ratio = max(slack[i], 0.0) / gp[i]
-                if ratio < alpha - 1e-12:
-                    alpha = ratio
-                    blocker = i
-                elif blocker is not None and abs(ratio - alpha) <= 1e-12:
-                    blocker = min(blocker, i)
+            rising = (gp > 1e-12 * g_norm * p_norm) & ~in_work
+            ratio = np.full(G.shape[0], np.inf)
+            ratio[rising] = np.maximum(h[rising] - G[rising] @ z, 0.0) / gp[rising]
+            shortest = ratio.min()
+            if shortest < 1.0 - 1e-12:
+                blocker = int(np.argmax(ratio <= shortest + 1e-12))
+                alpha = ratio[blocker]
         z = z + alpha * step_p
         if blocker is not None:
-            cand = G[work + [blocker]]
-            if np.linalg.matrix_rank(cand, tol=1e-10) == len(work) + 1:
-                work.append(blocker)
+            K[k, :nz] = K[:nz, k] = G[blocker]
+            work.append(blocker)
+            in_work[blocker] = True
         # a full step with no blocker ends on the next stationarity check
     else:
         raise NumericalBreakdown("active-set iteration limit reached")

@@ -387,6 +387,27 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(lambda tmp_path, specfile: [
         "construct", str(tmp_path), "--gamma", "10", "--epsilon", "0.1"],
         "cannot read", id="spec-is-directory"),
+    pytest.param(_simulate_with(t_finale=1.0), "t_finale", id="unknown-top-level"),
+    pytest.param(_simulate_with(cbf={"gama": 0.1, "epsilon": 0.1, "witness": [0, 0]}),
+                 "gama", id="unknown-cbf"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "m3": 1.0}), "m3",
+                 id="unknown-plant"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "n": 2}), "'n'",
+                 id="unknown-arm-n"),
+    pytest.param(_simulate_with(**_controller(gains={"c_alpha": 40.0})), "gains",
+                 id="unknown-controller"),
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "ball", "d": 1.0, "radius": 2.0})), "radius",
+        id="unknown-input-set"),
+    pytest.param(_verify_args(plant={"type": "two_link_arm", "m3": 1.0}), "m3",
+                 id="verify-unknown-plant"),
+    pytest.param(lambda tmp_path, specfile: [
+        "construct", str(specfile), "--gamma", "10", "--epsilon", "0.1",
+        "--seed", "7", "--out", str(tmp_path)], "--seed", id="construct-seed"),
+    pytest.param(_simulate_with(t_final="x"), "t_final", id="t_final-text"),
+    pytest.param(_simulate_with(dt="x"), "dt", id="dt-text"),
+    pytest.param(_simulate_with(initial_state=["a", 0.0, 0.0, 0.0]), "initial_state",
+                 id="initial_state-text"),
 ])
 def test_malformed_input_exits_64_naming_field(tmp_path, specfile, capsys, argv,
                                                 field):

@@ -282,6 +282,39 @@ def test_cert_hexagon_origin_witnesses(hexagon, hexagon_cert):
         np.testing.assert_allclose(y, np.zeros(2))
 
 
+def _linprog_lex_witness(spec, I):
+    """Oracle: scipy's lexicographically smallest maximizer of min_{i in I} h_i
+    over the (single) term, held to the same margin and coordinate rules."""
+    idx = sorted(I) + list(spec.terms[0])
+    n = spec.n
+    # rows h_i(x) - t >= 0 on I and h_i(x) >= 0 on the term, as A_ub z <= b_ub
+    A_ub = -np.column_stack([spec.A[idx], -np.r_[np.ones(len(I)),
+                                                  np.zeros(len(idx) - len(I))]])
+    b_ub = spec.offsets[idx]
+    free = [(None, None)] * (n + 1)
+    ref = linprog(-np.eye(n + 1)[n], A_ub=A_ub, b_ub=b_ub, bounds=free,
+                  method="highs")
+    margin = -ref.fun
+    bounds = free[:n] + [(margin - 1e-12 * max(1.0, abs(margin)), None)]
+    for j in range(n):
+        ref = linprog(np.eye(n + 1)[j], A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                      method="highs")
+        assert ref.status == 0
+        bounds[j] = (None, ref.x[j])
+    return ref.x[:n], margin
+
+
+def test_cert_witnesses_are_lexicographic_minimizers(hexagon):
+    # the margin LPs are degenerate; the witness must not depend on pivoting
+    cert = compute_cert(hexagon)
+    for I in cert.s_cap:
+        y_ref, margin = _linprog_lex_witness(hexagon, I)
+        np.testing.assert_allclose(cert.witnesses[I], y_ref, rtol=0, atol=1e-9,
+                                   err_msg=f"I = {sorted(I)}")
+        assert min(eval_h_many(hexagon, cert.witnesses[I][None])) >= -1e-9
+        assert margin >= cert.delta - 1e-9
+
+
 def test_cert_optimized_matches_override(hexagon):
     # the LP-optimized interior margin also equals pi/2 (h_0 + h_1 = pi)
     cert = compute_cert(hexagon)

@@ -64,6 +64,11 @@ def test_not_positive_definite_rejected():
     with pytest.raises(NotPositiveDefinite):
         QpProblem(P=np.array([[0.0]]), c=np.zeros(1),
                   G=np.zeros((0, 1)), h=np.zeros(0))
+    # a diagonal P skips the factorization only with a positive diagonal
+    for diag in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
+        with pytest.raises(NotPositiveDefinite):
+            QpProblem(P=np.diag(diag), c=np.zeros(3),
+                      G=np.zeros((0, 3)), h=np.zeros(0))
 
 
 def test_matches_bruteforce_on_500_random_instances():
@@ -78,6 +83,37 @@ def test_matches_bruteforce_on_500_random_instances():
         assert sol.residuals["stationarity"] <= 1e-8
         assert sol.residuals["primal"] <= 1e-8
         assert sol.residuals["complementarity"] <= 1e-8
+
+
+def test_repeated_blocking_rows_match_bruteforce():
+    # copies of an active row, exact or positively scaled, are dependent on
+    # it; only the lowest-index copy may enter the working set
+    rng = np.random.Generator(np.random.Philox(7))
+    checked = 0
+    while checked < 100:
+        P, c, G, h = random_qp(rng)
+        base = solve_qp(QpProblem(P=P, c=c, G=G, h=h))
+        if not base.active:
+            continue
+        r = base.active[int(rng.integers(len(base.active)))]
+        scale = float(rng.uniform(0.5, 3.0))
+        copies = [(G[r], h[r]), (scale * G[r], scale * h[r])]
+        rows = list(zip(G, h))
+        for copy in copies:
+            rows.insert(int(rng.integers(len(rows) + 1)), copy)
+        G2 = np.array([g for g, _ in rows])
+        h2 = np.array([b for _, b in rows])
+        # the rows (g, b) that are positive multiples of (G[r], h[r])
+        group = [i for i, (g, b) in enumerate(rows) if g @ G[r] > 0 and
+                 np.linalg.matrix_rank([np.r_[g, b], np.r_[G[r], h[r]]],
+                                       tol=1e-10) == 1]
+        sol = solve_qp(QpProblem(P=P, c=c, G=G2, h=h2))
+        ref = qp_bruteforce(P, c, G2, h2)
+        assert sol.optimal and ref is not None
+        np.testing.assert_allclose(sol.z, ref[0], atol=1e-5)
+        assert sol.objective == pytest.approx(ref[1], abs=1e-6)
+        assert [i for i in sol.active if i in group] == [min(group)]
+        checked += 1
 
 
 @pytest.mark.parametrize("scale", [1e5, 1e6])
