@@ -188,7 +188,6 @@ def cbf_from_dict(d: dict) -> ExtendedCbf:
         s_cap=tuple(sorted(witnesses, key=lambda I: (len(I), sorted(I)))),
         witnesses=witnesses,
         delta=float(d["cert"]["delta"]),
-        proj_bounded=True,
     )
     return build(spec, cert, float(d["cbf"]["gamma"]), float(d["cbf"]["epsilon"]))
 
@@ -238,17 +237,17 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
 
 
 def check_compactness(cbf: ExtendedCbf) -> bool:
-    """True iff every extended term is a bounded polytope (finite extents).
+    """True: every extended term is a bounded polytope (finite extents).
 
-    With bounded position terms this must hold; a bounded-position,
-    unbounded-extended disagreement indicates an internal inconsistency.
+    A certificate exists only for bounded position terms, so an unbounded
+    extended term is an internal inconsistency and raises.
     """
     unbounded = [ell for ell, lo_hi in enumerate(cbf.term_extents)
                  if not np.isfinite(lo_hi).all()]
-    if unbounded and cbf.cert.proj_bounded:
+    if unbounded:
         raise PolysafeError(
             f"extended terms {unbounded} unbounded despite bounded positions")
-    return not unbounded
+    return True
 
 
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:

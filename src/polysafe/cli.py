@@ -26,7 +26,7 @@ from .cbf import (
     velocity_bound,
     verify_safety_condition,
 )
-from .errors import PolysafeError, UsageError, ValidationError, parsing
+from .errors import PolysafeError, UsageError, ValidationError, integer, parsing
 from .inputs import input_set_from_dict
 from .plant import (
     ArmParams,
@@ -97,7 +97,8 @@ def _outdir(args) -> Path:
 
 def _seed(raw: dict, override) -> int:
     with parsing("seed"):
-        seed = override if override is not None else int(raw.get("seed", 42))
+        seed = (override if override is not None
+                else integer(raw.get("seed", 42), "seed"))
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
     return seed
@@ -110,15 +111,18 @@ def _plant_from_config(cfg: dict, n: int):
         if kind not in _PLANT_KEYS:
             raise ValueError(f"unknown plant type {kind!r}")
         _known_keys(cfg, _PLANT_KEYS[kind])
-        plant_n = 2 if kind == "two_link_arm" else int(cfg.get("n", n))
+        plant_n = 2 if kind == "two_link_arm" else integer(cfg.get("n", n), "n")
         if plant_n != n:
             raise ValueError(f"{kind} has n = {plant_n}, the spec n = {n}")
         if kind == "double_integrator":
             return double_integrator(n), None
+        gravity = cfg.get("gravity", False)
+        if not isinstance(gravity, bool):
+            raise ValueError(f"'gravity' must be true or false, not {gravity!r}")
         params = ArmParams(
             m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
             l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
-            gravity=bool(cfg.get("gravity", False)),
+            gravity=gravity,
         )
         return two_link_arm(params), params
 
@@ -161,8 +165,7 @@ def _load_scenario(path, seed_override=None) -> Scenario:
     ctrl = _controller_config(raw)
     with parsing("controller.weights"):
         weights = QpWeights(**ctrl.get("weights", {}))
-        # from a file, Q is "identity" or a matrix, which need no state
-        if weights.Q_at(None, plant.m).shape != (plant.m, plant.m):
+        if not isinstance(weights.Q, str) and weights.Q.shape != (plant.m, plant.m):
             raise ValueError(f"Q must be {plant.m} x {plant.m}")
     input_set = _input_set_from_config(ctrl, plant.m)
     with parsing("initial_state"):

@@ -8,6 +8,7 @@ malformed input or argument 64.
 """
 
 import contextlib
+import numbers
 
 
 class PolysafeError(Exception):
@@ -29,7 +30,7 @@ class UsageError(PolysafeError):
 
 
 class NumericalBreakdown(PolysafeError):
-    """The LP solver could not make progress even under Bland's rule."""
+    """A solver hit its iteration limit or a singular basis."""
 
 
 class EmptySet(PolysafeError):
@@ -116,3 +117,15 @@ def parsing(name: str, error=UsageError):
         yield
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise error(f"{name} missing or malformed: {exc!r}") from exc
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int: an integer, or a float with an integral value.
+
+    A bool, a string or a fractional number raises ValueError naming `name`,
+    so that a JSON field such as `"facets": 7.9` is not truncated.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{name!r} must be an integer, not {value!r}")
+    return int(value)

@@ -11,19 +11,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import integer
 
-class Unbounded:
+
+class _Polyhedral:
+    """An input set {u | G @ u <= h}, with (G, h) = rows(m)."""
+
+    def contains(self, u: np.ndarray) -> bool:
+        """Membership to 1e-9, one rule for every set."""
+        G, h = self.rows(np.size(u))
+        # a few rows, often none: plain Python beats numpy's per-call cost
+        return not h.size or all(
+            g <= b + 1e-9 for g, b in zip((G @ np.atleast_1d(u)).tolist(), h.tolist()))
+
+
+class Unbounded(_Polyhedral):
     """U = R^m: no rows, everything admissible."""
 
     def rows(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, m)), np.zeros(0)
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Polyhedral):
     """Symmetric box |u_j| <= limits_j."""
 
     limits: np.ndarray
@@ -40,13 +50,9 @@ class Box:
         h = np.concatenate([lim, lim])
         return G, h
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        lim = np.broadcast_to(self.limits, np.shape(u))
-        return bool((np.abs(u) <= lim + tol).all())
-
 
 @dataclass(frozen=True)
-class PolytopicBall:
+class PolytopicBall(_Polyhedral):
     """Inscribed regular-polytope surrogate for the ball ||u|| <= d.
 
     For m = 1 this degenerates to the exact interval; for m = 2 it is a
@@ -73,10 +79,6 @@ class PolytopicBall:
             return G, h
         raise ValueError("polytopic ball supports m <= 2")
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        G, h = self.rows(np.atleast_1d(u).size)
-        return bool((G @ np.atleast_1d(u) <= h + tol).all())
-
 
 _FIELDS = {"unbounded": (), "box": ("limits",), "ball": ("d", "facets")}
 
@@ -92,4 +94,4 @@ def input_set_from_dict(d: dict):
         return Unbounded()
     if kind == "box":
         return Box(np.array(d["limits"], dtype=float))
-    return PolytopicBall(float(d["d"]), int(d.get("facets", 16)))
+    return PolytopicBall(float(d["d"]), integer(d.get("facets", 16), "facets"))

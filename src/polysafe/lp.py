@@ -17,7 +17,9 @@ factors its starting basis once, as an explicit inverse; each pivot then
 updates that inverse by the rank-1 (eta) formula of the column swap, and
 the basic solution, the multipliers and the entering column are products
 with it.  Pivots are bounded away from zero (PIVOT_TOL), so the update
-stays well defined.  The scipy comparisons, the rank-deficient and
+stays well defined.  Phase 2's reduced costs are the residuals
+a_i @ x - b_i, so its optimality test (OPT_TOL) makes an optimal x meet
+every row to about 1e-12.  The scipy comparisons, the rank-deficient and
 degenerate instances in tests/test_lp.py and the QP oracle checks built
 on the phase-1 LP guard this arithmetic.
 """
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import NumericalBreakdown
 
 FEAS_TOL = 1e-9
+OPT_TOL = 1e-12
 PIVOT_TOL = 1e-12
 _MAX_ITER = 20000
 _BLAND_AFTER = 60  # consecutive degenerate pivots before switching rules
@@ -88,10 +91,11 @@ class _Tableau:
     basis: list[int] = field(default_factory=list)
 
 
-def _simplex_core(t: _Tableau):
+def _simplex_core(t: _Tableau, tol: float):
     """Run primal simplex on a tableau with a feasible starting basis.
 
-    Returns ("optimal", xB, y) or ("unbounded", entering_col, direction_d).
+    The basis is optimal once no reduced cost is below -tol.  Returns
+    ("optimal", xB, y) or ("unbounded", entering_col, direction_d).
     """
     As, bs, cs = t.As, t.bs, t.cs
     m = As.shape[0]
@@ -107,13 +111,13 @@ def _simplex_core(t: _Tableau):
         reduced = cs - As.T @ y
         reduced[t.basis] = 0.0
         if bland:
-            improving = np.flatnonzero(reduced < -FEAS_TOL)
+            improving = np.flatnonzero(reduced < -tol)
             if improving.size == 0:
                 return "optimal", xB, y
             entering = int(improving[0])
         else:
             entering = int(np.argmin(reduced))
-            if reduced[entering] >= -FEAS_TOL:
+            if reduced[entering] >= -tol:
                 return "optimal", xB, y
         d = Binv @ As[:, entering]
         positive = d > PIVOT_TOL
@@ -125,11 +129,6 @@ def _simplex_core(t: _Tableau):
         # smallest basis index among tied rows: anti-cycling tie-break
         tied = np.flatnonzero(ratios <= best + 1e-12)
         leaving = int(min(tied, key=lambda r: t.basis[r]))
-        if abs(d[leaving]) < PIVOT_TOL:
-            if not bland:
-                bland = True
-                continue
-            raise NumericalBreakdown("pivot below tolerance under Bland's rule")
         if best <= FEAS_TOL:
             degenerate += 1
             if degenerate > _BLAND_AFTER:
@@ -159,7 +158,7 @@ def lp_solve(p: LpProblem) -> LpSolution:
     A1 = np.hstack([As, np.eye(n)])
     c1 = np.concatenate([np.zeros(m), np.ones(n)])
     t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
-    status, xB, y = _simplex_core(t)
+    status, xB, y = _simplex_core(t, FEAS_TOL)
     assert status == "optimal"  # phase 1 is always bounded below by 0
     if c1[t.basis] @ xB > 1e-7:
         # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
@@ -184,7 +183,7 @@ def lp_solve(p: LpProblem) -> LpSolution:
 
     # phase 2: an unbounded dual means an empty primal
     t2 = _Tableau(As[keep], bs[keep], -b, basis=t.basis)
-    status, xB, y = _simplex_core(t2)
+    status, xB, y = _simplex_core(t2, OPT_TOL)
     if status == "unbounded":
         return LpSolution(status="infeasible")
     # x is the dual's simplex multipliers, unsigned; mu its basic solution

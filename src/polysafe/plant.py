@@ -23,6 +23,7 @@ from .polytope import SafetySpec, contains, eval_h_many, position_bounding_box
 
 GRAVITY = 9.8  # m/s^2
 _BLOCK = 512   # grid points per block of the constant-estimation scan
+_DIRECTIONS = 32   # velocity directions per grid point of the scan (n >= 2)
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class PlantModel:
     G2: Callable[[np.ndarray], np.ndarray]
     f2_potential: Callable[[np.ndarray], np.ndarray] | None = None
     f2_velocity: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    name: str = "plant"
 
     @property
     def has_split(self) -> bool:
@@ -76,7 +76,6 @@ class ElConstants:
     kG: float
     k2: float
     v_cap: float
-    grid_resolution: int
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class ArmParams:
     l1: float = 1.0
     l2: float = 1.0
     gravity: bool = False
-    g: float = GRAVITY
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.m1, self.m2, self.l1, self.l2)):
@@ -107,7 +105,7 @@ class ArmParams:
             "c22": m2 * l2 ** 2,
             "c23": k,
             "c24": -k,
-            "c25": -m2 * self.g * l2 if self.gravity else 0.0,
+            "c25": -m2 * GRAVITY * l2 if self.gravity else 0.0,
         })
 
     @property
@@ -191,8 +189,7 @@ def two_link_arm(params: ArmParams) -> PlantModel:
         return _solve(x1, 0.0, _potential(c, x1))
 
     return PlantModel(n=2, m=2, f2=f2, G2=G2,
-                      f2_potential=f2_potential, f2_velocity=f2_velocity,
-                      name="two_link_arm")
+                      f2_potential=f2_potential, f2_velocity=f2_velocity)
 
 
 def double_integrator(n: int = 1) -> PlantModel:
@@ -202,8 +199,7 @@ def double_integrator(n: int = 1) -> PlantModel:
                       f2=lambda x1, x2: zero,
                       G2=lambda x1: eye,
                       f2_potential=lambda x1: zero,
-                      f2_velocity=lambda x1, x2: zero,
-                      name="double_integrator")
+                      f2_velocity=lambda x1, x2: zero)
 
 
 @dataclass(frozen=True)
@@ -313,8 +309,7 @@ def _stable_top(kept: list, vals: np.ndarray, at, f, k: int) -> list:
 
 
 def estimate_constants(plant: PlantModel, spec: SafetySpec,
-                       resolution: int = 200, v_cap: float = 1.0,
-                       n_directions: int = 32) -> ElConstants:
+                       resolution: int = 200, v_cap: float = 1.0) -> ElConstants:
     """Maxima of the potential force, right-inverse norm, and the
     velocity-force gain over the safety set: a grid scan followed by a
     deterministic pattern-search polish from the best grid candidates (the
@@ -332,7 +327,7 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     grid = _position_grid(spec, lo, hi, max(resolution, 0))
     if not len(grid):
         raise ValidationError(f"no point of the resolution-{resolution} grid is in C")
-    n, dirs = spec.n, _unit_directions(plant.n, n_directions)
+    n, dirs = spec.n, _unit_directions(plant.n, _DIRECTIONS)
     spacing = (hi - lo) / max(resolution - 1, 1)
     in_c = lambda x1: contains(spec, x1)
 
@@ -373,13 +368,12 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
             [blk[i // len(dirs)], dirs[i % len(dirs)]]), f_k2, 3)
     k1 = _pattern_polish(f_k1, k1_top[0][1], spacing.copy(), feasible=in_c)
     kG = _pattern_polish(f_kG, kG_top[0][1], spacing.copy(), feasible=in_c)
-    dir_step = np.full(plant.n, np.pi / max(n_directions, 2))
+    dir_step = np.full(plant.n, np.pi / _DIRECTIONS)
     k2 = max([0.0] + [_pattern_polish(
         f_k2, z, np.concatenate([spacing, dir_step]),
         feasible=lambda z: in_c(z[:spec.n])
         and np.linalg.norm(z[spec.n:]) > 0.1) for _, z in k2_top])
-    return ElConstants(k1=k1, kG=kG, k2=k2, v_cap=v_cap,
-                       grid_resolution=resolution)
+    return ElConstants(k1=k1, kG=kG, k2=k2, v_cap=v_cap)
 
 
 def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,

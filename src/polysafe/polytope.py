@@ -14,7 +14,6 @@ All index sets are 0-based internally; the JSON serialization uses
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     TooManyHalfspaces,
     UnboundedPositions,
     ValidationError,
+    integer,
     parsing,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
@@ -164,17 +164,11 @@ class SafetySpec:
             hs = tuple(HalfSpace(np.array(e["a"], dtype=float), float(e["b"]))
                        for e in d["halfspaces"])
         with parsing("spec field 'terms'", ValidationError):
-            terms = tuple(tuple(int(i) - 1 for i in t) for t in d["terms"])
+            terms = tuple(tuple(integer(i, "terms") - 1 for i in t)
+                          for t in d["terms"])
         with parsing("spec field 'n'", ValidationError):
-            n = int(d["n"])
+            n = integer(d["n"], "n")
         return cls(halfspaces=hs, terms=terms, n=n)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SafetySpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -182,13 +176,12 @@ class GeometryCert:
     """Witness points and interior margin certifying the standing assumption.
 
     delta = min over stored (I, i in I) of h_i(y_I) and is strictly
-    positive; proj_bounded records that every term is a bounded polytope.
+    positive.
     """
 
     s_cap: tuple[frozenset[int], ...]
     witnesses: dict[frozenset[int], np.ndarray]
     delta: float
-    proj_bounded: bool
 
 
 def eval_h(spec: SafetySpec, x1: np.ndarray) -> float:
@@ -263,8 +256,10 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
     is degenerate, with a face of maximizers, so the witness is the
     face's lexicographically smallest point, not whichever vertex the
     simplex reaches: one LP per coordinate j minimizes x_j with the
-    margin held at its optimum less 1e-12 max(1, |t*|) and x_0..x_{j-1}
-    held at their minima.
+    margin held at its optimum t* less 1e-12 max(1, |t*|) and each earlier
+    x_k held at its minimum plus 1e-12 max(1, |x_k|), a slack that keeps
+    the next LP feasible when its rows are met only to round-off.  The
+    margin returned is t*.
     """
     I = frozenset(I)
     idx_I = sorted(I)
@@ -293,7 +288,7 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
             f"no interior witness for {sorted(I)}: best margin {margin:.3e}"
         )
     # the maximizers: t >= t* less the slack; each minimized x_j is then
-    # held by -x_j >= -min x_j
+    # held by -x_j >= -(min x_j plus the slack)
     A = np.vstack([A, np.eye(n + 1)[-1]])
     b = np.append(b, margin - 1e-12 * max(1.0, abs(margin)))
     for j in range(n):
@@ -305,7 +300,7 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
         if not sol.optimal:
             raise NumericalBreakdown("witness coordinate LP infeasible")
         A = np.vstack([A, -np.eye(n + 1)[j]])
-        b = np.append(b, -sol.x[j])
+        b = np.append(b, -sol.x[j] - 1e-12 * max(1.0, abs(sol.x[j])))
     return sol.x[:n], float(margin)
 
 
@@ -313,8 +308,10 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     """Assemble the geometry certificate.
 
     `overrides`, if given, is one point pinned as the witness of every
-    index set.  Raises UnboundedPositions if any term is an unbounded
-    polytope, AssumptionViolated if a witness fails its strict margin.
+    index set.  Every witness's margin is evaluated at the witness, so
+    delta is the smallest margin one attains.  Raises UnboundedPositions
+    if any term is an unbounded polytope, AssumptionViolated if a witness
+    fails its strict margin.
     """
     for li in range(len(spec.terms)):
         if not is_bounded(*spec.rows.term_rows(li)[:2]):
@@ -325,16 +322,13 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     delta = np.inf
     # each I as a term: its minimum at y is min over I of h_i(y)
     index_rows = TermRows(spec.A, spec.offsets, tuple(sorted(I) for I in s_cap))
+    if pinned is not None and not contains(spec, pinned):
+        raise AssumptionViolated("override witness lies outside the safety set")
     for ell, I in enumerate(s_cap):
-        if pinned is not None:
-            y = pinned
-            margin = float(max_min(index_rows, y)[1][ell])
-            if margin <= 0.0 or not contains(spec, y):
-                raise AssumptionViolated(
-                    f"override witness for {sorted(I)} lacks a positive margin"
-                )
-        else:
-            y, margin = max_min_point(spec, I)
+        y = pinned if pinned is not None else max_min_point(spec, I)[0]
+        margin = float(max_min(index_rows, y)[1][ell])
+        if margin <= 0.0:
+            raise AssumptionViolated(f"witness for {sorted(I)} lacks a positive margin")
         witnesses[I] = y
         delta = min(delta, margin)
     order = sorted(s_cap, key=lambda I: (len(I), sorted(I)))
@@ -342,7 +336,6 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
         s_cap=tuple(order),
         witnesses=witnesses,
         delta=float(delta),
-        proj_bounded=True,
     )
 
 

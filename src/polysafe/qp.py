@@ -184,8 +184,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
 class QpWeights:
     """Cost weights of the safeguarding program.
 
-    Q, the input cost, is "identity", a symmetric positive definite
-    matrix, or a callable of the state.
+    Q, the input cost, is "identity" or a fixed symmetric positive definite
+    matrix; the assembler builds the QP's Hessian from it once.
     """
 
     q_alpha: float = 1e4
@@ -201,29 +201,15 @@ class QpWeights:
         if isinstance(self.Q, str):
             if self.Q != "identity":
                 raise ValueError(f"Q must be 'identity' or a matrix, not {self.Q!r}")
-        elif not callable(self.Q):
-            Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-            if not (Q.ndim == 2 and np.isfinite(Q).all() and np.array_equal(Q, Q.T)):
-                raise ValueError("Q must be a finite symmetric matrix")
-            try:
-                np.linalg.cholesky(Q)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("Q must be positive definite") from exc
-            object.__setattr__(self, "Q", Q)
-
-    def Q_at(self, x: np.ndarray, m: int) -> np.ndarray:
-        if callable(self.Q):
-            return np.atleast_2d(np.asarray(self.Q(x), dtype=float))
-        if isinstance(self.Q, str):
-            return np.eye(m)
-        return self.Q
-
-    def to_dict(self) -> dict:
-        d = {"q_alpha": self.q_alpha, "q_M": self.q_M,
-             "c_alpha": self.c_alpha, "c_M": self.c_M}
-        d["Q"] = "identity" if isinstance(self.Q, str) else (
-            None if callable(self.Q) else np.asarray(self.Q).tolist())
-        return d
+            return
+        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        if not (Q.ndim == 2 and np.isfinite(Q).all() and np.array_equal(Q, Q.T)):
+            raise ValueError("Q must be a finite symmetric matrix")
+        try:
+            np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Q must be positive definite") from exc
+        object.__setattr__(self, "Q", Q)
 
 
 @dataclass(frozen=True)
@@ -287,6 +273,13 @@ class SafeguardAssembler:
             self._G_fixed[k, j] = g
         self._G_fixed[len(bounds):, :m] = self._Gu_rows
         self._h_fixed = np.concatenate([[b for _, _, b in bounds], self._hu])
+        # the Hessian diag(2 Q, 2 q_alpha, 2 q_M) is the same at every state
+        self._Q = np.eye(m) if isinstance(weights.Q, str) else weights.Q
+        self._P = np.zeros((m + 2, m + 2))
+        self._P[:m, :m] = 2.0 * self._Q
+        self._P[m, m] = 2.0 * weights.q_alpha
+        self._P[m + 1, m + 1] = 2.0 * weights.q_M
+        self._P.setflags(write=False)
         self._warm = None
 
     def _instant_rate(self, x: np.ndarray):
@@ -333,10 +326,8 @@ class SafeguardAssembler:
             )
         Bi = act.row_values
         lift = act.value - act.per_term_min[rows.row_term]
-        Qx = w.Q_at(x, m)
         u_nom = (np.zeros(m) if u_nom is None
                  else np.atleast_1d(np.asarray(u_nom, dtype=float)))
-        qvec = -2.0 * Qx @ u_nom
 
         # candidate: u unconstrained-optimal, alpha and M at their lower
         # bounds with positive multipliers; globally optimal if feasible
@@ -365,12 +356,8 @@ class SafeguardAssembler:
         G = np.vstack([-coef, self._G_fixed])
         h = np.concatenate([const, self._h_fixed])
 
-        P = np.zeros((m + 2, m + 2))
-        P[:m, :m] = 2.0 * Qx
-        P[m, m] = 2.0 * w.q_alpha
-        P[m + 1, m + 1] = 2.0 * w.q_M
-        c = np.concatenate([qvec, [0.0, 0.0]])
-        prob = QpProblem(P=P, c=c, G=G, h=h)
+        c = np.concatenate([-2.0 * self._Q @ u_nom, [0.0, 0.0]])
+        prob = QpProblem(P=self._P, c=c, G=G, h=h)
         start = self._warm if warm_start else None
         sol = solve_qp(prob, start=start)
         if not sol.optimal:

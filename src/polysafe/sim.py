@@ -20,6 +20,8 @@ from .plant import PlantModel, rk4_step
 from .polytope import eval_h, eval_h_many
 from .qp import QpWeights, SafeguardAssembler
 
+VIOLATION_TOL = 1e-6  # audit_invariance flags B < -this
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -137,7 +139,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
 class InvarianceReport:
     min_B: float
     min_h: float
-    first_B_violation: float | None  # time of first B < -1e-6, if any
+    first_B_violation: float | None  # time of first B < -VIOLATION_TOL, if any
     first_h_violation: float | None
     max_speed: float
     speed_bound: float | None
@@ -148,8 +150,7 @@ class InvarianceReport:
 
 
 def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf,
-                     velocity_cert: VelocityCert | None = None,
-                     tol: float = 1e-6) -> InvarianceReport:
+                     velocity_cert: VelocityCert | None = None) -> InvarianceReport:
     """Recompute B and h at every logged state, independent of the loop."""
     if len(log) == 0:
         return InvarianceReport(np.inf, np.inf, None, None, 0.0,
@@ -159,7 +160,7 @@ def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf,
     Bvals = eval_B_many(cbf, log.x)
     hvals = eval_h_many(cbf.spec, log.x[:, :n])
     speeds = np.linalg.norm(log.x[:, n:], axis=1)
-    bviol = np.flatnonzero(Bvals < -tol)
+    bviol = np.flatnonzero(Bvals < -VIOLATION_TOL)
     hviol = np.flatnonzero(hvals < 0.0)
     return InvarianceReport(
         min_B=float(Bvals.min()),

@@ -93,6 +93,9 @@ def test_construct_non_finite_parameter_exit_2(tmp_path, specfile, capsys,
     ([{"a": [1.0, 0.0], "b": 1.0}], "JSON object"),
     ({"n": 2, "halfspaces": [{"a": [1.0, 0.0]}], "terms": [[1]]}, "'halfspaces'"),
     ({"n": "two", "halfspaces": [{"a": [1.0], "b": 1.0}], "terms": [[1]]}, "'n'"),
+    ({**hexagon_spec().to_dict(), "terms": [[1.9, 2, 3, 4, 5, 6]]}, "'terms'"),
+    ({**hexagon_spec().to_dict(), "n": 2.7}, "'n'"),
+    ({**hexagon_spec().to_dict(), "n": True}, "'n'"),
 ])
 def test_malformed_spec_exit_3(tmp_path, specfile, capsys, spec, field):
     path = tmp_path / "bad.json"
@@ -408,6 +411,18 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(_simulate_with(dt="x"), "dt", id="dt-text"),
     pytest.param(_simulate_with(initial_state=["a", 0.0, 0.0, 0.0]), "initial_state",
                  id="initial_state-text"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "gravity": "false"}),
+                 "'gravity'", id="gravity-text"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "gravity": 0}),
+                 "'gravity'", id="gravity-number"),
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "ball", "d": 100.0, "facets": 7.9})), "'facets'",
+        id="facets-fraction"),
+    pytest.param(_simulate_with(plant={"type": "double_integrator", "n": 2.9},
+                                controller={"mode": "safeguarded", "nominal": "zero"}),
+                 "'n'", id="plant-n-fraction"),
+    pytest.param(_simulate_with(seed=1.5), "seed", id="seed-fraction"),
+    pytest.param(_simulate_with(seed=True), "seed", id="seed-bool"),
 ])
 def test_malformed_input_exits_64_naming_field(tmp_path, specfile, capsys, argv,
                                                 field):

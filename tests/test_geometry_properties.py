@@ -1,0 +1,91 @@
+"""Property tests over random bounded geometries: the certificate either
+fails with a documented geometry error or holds everything the barrier
+relies on."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polysafe.cbf import (
+    build,
+    check_compactness,
+    eval_B,
+    lift_position,
+    sample_boundary,
+    velocity_bound,
+    verify_safety_condition,
+)
+from polysafe.errors import PolysafeError
+from polysafe.inputs import Unbounded
+from polysafe.plant import double_integrator
+from polysafe.polytope import HalfSpace, SafetySpec, compute_cert, contains, eval_h
+
+MAX_ROWS = 8   # the index sets enumerated number 2^r - 1
+
+_coord = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
+
+
+def _vectors(draw, count, n, elements=_coord):
+    return np.array(draw(st.lists(st.lists(elements, min_size=n, max_size=n),
+                                  min_size=count, max_size=count)),
+                    dtype=float).reshape(count, n)
+
+
+@st.composite
+def bounded_specs(draw):
+    """Unions of 1-3 bounded polytopes in R^1..R^3 with at most MAX_ROWS rows.
+
+    Each term has n independent normals (rows of a scaled, diagonally
+    dominant matrix), one in the negative cone of those (so the normals
+    positively span R^n and the term is bounded) and up to two more; the
+    offsets put a drawn center inside it.
+    """
+    n = draw(st.integers(1, 3))
+    n_terms = draw(st.integers(1, min(3, MAX_ROWS // (n + 1))))
+    halfspaces, terms = [], []
+    for ell in range(n_terms):
+        room = MAX_ROWS - len(halfspaces) - (n_terms - ell - 1) * (n + 1)
+        extra = draw(st.integers(0, min(2, room - n - 1)))
+        off = _vectors(draw, n, n, st.floats(-0.45, 0.45)) * (1 - np.eye(n))
+        scale = _vectors(draw, 1, n, st.floats(0.5, 2.0))[0]
+        signs = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), -1, 1)
+        basis = (np.eye(n) + off) * (signs * scale)[:, None]
+        weights = _vectors(draw, 1, n, st.floats(0.2, 1.0))[0]
+        normals = np.vstack([basis, -weights @ basis, _vectors(draw, extra, n)])
+        assume((np.linalg.norm(normals, axis=1) > 0.1).all())
+        center = _vectors(draw, 1, n)[0]
+        radii = _vectors(draw, 1, len(normals), st.floats(0.2, 2.0))[0]
+        start = len(halfspaces)
+        halfspaces += [HalfSpace(a, r - a @ center) for a, r in zip(normals, radii)]
+        terms.append(tuple(range(start, len(halfspaces))))
+    return SafetySpec(halfspaces=tuple(halfspaces), terms=tuple(terms), n=n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_geometry_certificate_holds_or_fails_documented(data):
+    try:
+        spec = data.draw(bounded_specs())
+        cert = compute_cert(spec)
+    except PolysafeError as exc:   # e.g. an index set touching C at one point
+        assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
+        return
+    assert cert.delta > 0
+    for I, y in cert.witnesses.items():
+        assert eval_h(spec, y) >= -1e-12, sorted(I)
+        idx = sorted(I)
+        assert (spec.A[idx] @ y + spec.offsets[idx]).min() >= cert.delta - 1e-14
+    for t in spec.terms:   # a term's witness is interior
+        assert contains(spec, cert.witnesses[frozenset(t)])
+
+    cbf = build(spec, cert, 1.0, cert.delta / 2)
+    assert check_compactness(cbf)
+    assert np.isfinite(velocity_bound(cbf).norm_bound)
+    for y in cert.witnesses.values():
+        # a witness on the boundary of C lifts to B = h(y) = 0 up to round-off,
+        # and one round-off outside C cannot be lifted
+        if contains(spec, y):
+            assert eval_B(cbf, lift_position(cbf, y)).value >= -1e-12
+    X = sample_boundary(cbf, 20, seed=0)
+    report = verify_safety_condition(cbf, double_integrator(spec.n), Unbounded(), X)
+    assert report.all_feasible, report.worst_margin

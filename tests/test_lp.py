@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from polysafe import lp as lp_module
+from polysafe.errors import NumericalBreakdown
 from polysafe.lp import LpProblem, lp_feasible_point, lp_solve
 
 
@@ -151,3 +153,25 @@ def test_dual_certificate_on_random_optima():
         assert np.abs(p.c + p.A.T @ mu).max() <= 1e-7
         assert np.abs(mu * (p.A @ sol.x - p.b)).max() <= 1e-6
         assert -p.b @ mu == pytest.approx(sol.objective, abs=1e-7)
+
+
+def _beale_tableau():
+    """Beale's cycling example (Naval Res. Logist. Q. 2, 1955) in equality
+    form with slack basis {0, 1, 2}: min -3/4 x3 + 150 x4 - 1/50 x5 + 6 x6."""
+    As = np.hstack([np.eye(3), [[0.25, -60.0, -1 / 25, 9.0],
+                                [0.5, -90.0, -1 / 50, 3.0],
+                                [0.0, 0.0, 1.0, 0.0]]])
+    cs = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
+    return lp_module._Tableau(As, np.array([0.0, 0.0, 1.0]), cs, basis=[0, 1, 2])
+
+
+def test_bland_switch_ends_beale_cycle(monkeypatch):
+    # the most-negative entering rule cycles on Beale's example; the switch
+    # to Bland's rule after a run of degenerate pivots must end it
+    t = _beale_tableau()
+    status, xB, _ = lp_module._simplex_core(t, lp_module.OPT_TOL)
+    assert status == "optimal"
+    assert t.cs[t.basis] @ xB == pytest.approx(-1 / 20, abs=1e-12)
+    monkeypatch.setattr(lp_module, "_BLAND_AFTER", lp_module._MAX_ITER)
+    with pytest.raises(NumericalBreakdown, match="iteration limit"):
+        lp_module._simplex_core(_beale_tableau(), lp_module.OPT_TOL)

