@@ -66,8 +66,6 @@ from .qp import (
     QpWeights,
     SafeguardAssembler,
     SafeguardResult,
-    continuity_probe,
-    safeguard,
     solve_qp,
 )
 from .plant import (

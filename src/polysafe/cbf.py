@@ -84,10 +84,15 @@ class ExtendedCbf:
         return self.rows.term_rows(ell)
 
     @cached_property
-    def term_extents(self) -> tuple[np.ndarray, ...]:
-        """Per extended term, the 2 x 2n extents (lo, hi) of every coordinate."""
-        return tuple(np.array(extents(*self.term_rows(ell)[:2]))
-                     for ell in range(len(self.spec.terms)))
+    def velocity_extents(self) -> np.ndarray:
+        """Per extended term, the 2 x n extents (lo, hi) of the velocity x2.
+
+        2n LPs per term; the positions of an extended term lie in its
+        position term, whose extents the spec already holds.
+        """
+        n = self.n
+        return np.array([extents(*self.term_rows(ell)[:2], coords=range(n, 2 * n))
+                         for ell in range(len(self.spec.terms))])
 
     def to_dict(self) -> dict:
         return {
@@ -239,11 +244,15 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
 def check_compactness(cbf: ExtendedCbf) -> bool:
     """True: every extended term is a bounded polytope (finite extents).
 
-    A certificate exists only for bounded position terms, so an unbounded
-    extended term is an internal inconsistency and raises.
+    An extended term's positions lie in its position term, so its
+    position extents are bounded by the spec's stored term extents and
+    only its velocity extents take LPs.  A certificate exists only for
+    bounded position terms, so an unbounded extended term is an internal
+    inconsistency and raises.
     """
-    unbounded = [ell for ell, lo_hi in enumerate(cbf.term_extents)
-                 if not np.isfinite(lo_hi).all()]
+    unbounded = [ell for ell, (pos, vel) in
+                 enumerate(zip(cbf.spec.term_extents, cbf.velocity_extents))
+                 if not (np.isfinite(pos).all() and np.isfinite(vel).all())]
     if unbounded:
         raise PolysafeError(
             f"extended terms {unbounded} unbounded despite bounded positions")
@@ -253,7 +262,7 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
     """Largest |x2_j| over every extended term: its velocity extents."""
     n = cbf.n
-    bound = max(np.abs(lo_hi[:, n:]).max() for lo_hi in cbf.term_extents)
+    bound = np.abs(cbf.velocity_extents).max()
     if not np.isfinite(bound):
         raise PolysafeError("velocity unbounded over an extended term")
     norm_bound = np.sqrt(n) * bound

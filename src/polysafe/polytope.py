@@ -99,8 +99,11 @@ class SafetySpec:
     half-spaces.  Every term must be a nonempty, feasible intersection,
     and distinct half-spaces must have linearly independent augmented
     vectors (a_i, b_i).  `A` (r x n) and `offsets` hold the half-spaces
-    in index order and `rows` the term rows stacked for `max_min`; all
-    are built once.
+    in index order and `rows` the term rows stacked for `max_min`.
+    `term_extents` (terms x 2 x n) holds each term's `extents`, solved
+    once (2n LPs per term): an empty term is rejected from those same
+    LPs, and the certificate's boundedness test and the bounding box
+    read them.  All are built once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -127,19 +130,26 @@ class SafetySpec:
         A = np.array([h.a for h in hs])
         offsets = np.array([h.b for h in hs])
         aug = np.column_stack([A, offsets])
-        for i, j in itertools.combinations(range(r), 2):
-            if np.linalg.matrix_rank(aug[[i, j]], tol=1e-12) < 2:
-                raise ValidationError(
-                    f"half-spaces {i} and {j} have dependent augmented vectors"
-                )
-        for name, arr in (("A", A), ("offsets", offsets)):
+        pairs = np.array(list(itertools.combinations(range(r), 2)),
+                         dtype=int).reshape(-1, 2)
+        dependent = pairs[np.linalg.matrix_rank(aug[pairs], tol=1e-12) < 2]
+        if dependent.size:
+            i, j = dependent[0]
+            raise ValidationError(
+                f"half-spaces {i} and {j} have dependent augmented vectors"
+            )
+        rows = TermRows(A, offsets, terms)
+        ext = []
+        for li in range(len(terms)):
+            try:
+                ext.append(extents(*rows.term_rows(li)[:2]))
+            except EmptySet:
+                raise ValidationError(f"term {li} is an empty intersection") from None
+        for name, arr in (("A", A), ("offsets", offsets),
+                          ("term_extents", np.array(ext))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rows", TermRows(A, offsets, terms))
-        for li in range(len(terms)):
-            At, bt, _ = self.rows.term_rows(li)
-            if lp_feasible_point(At, -bt) is None:
-                raise ValidationError(f"term {li} is an empty intersection")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def r(self) -> int:
@@ -198,22 +208,24 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
-    from the LPs c = +-e_j.
+def extents(A: np.ndarray, b: np.ndarray,
+            coords=None) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[k] = min x_j, hi[k] = max x_j over {x | A @ x + b >= 0}
+    for the k-th coordinate j of `coords` (default: all), from the LPs c = +-e_j.
 
     An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
     d = A.shape[1]
-    lo, hi = np.empty((2, d))
-    for j in range(d):
+    coords = range(d) if coords is None else coords
+    lo, hi = np.empty((2, len(coords)))
+    for k, j in enumerate(coords):
         for sign, out in ((1.0, hi), (-1.0, lo)):
             c = np.zeros(d)
             c[j] = sign
             sol = lp_solve(LpProblem(c=c, A=A, b=-b))
             if sol.status == "infeasible":
                 raise EmptySet("half-space intersection is empty")
-            out[j] = sol.x[j] if sol.optimal else sign * np.inf
+            out[k] = sol.x[j] if sol.optimal else sign * np.inf
     return lo, hi
 
 
@@ -226,11 +238,12 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
     """All nonempty I whose half-space intersection meets the safety set.
 
     Exhaustive over the 2^r - 1 subsets with one feasibility LP per
-    distinct union I | term; capped at r <= ENUMERATION_CAP.
+    distinct union I | term that is not a term itself (the spec has
+    shown every term nonempty); capped at r <= ENUMERATION_CAP.
     """
     if spec.r > ENUMERATION_CAP:
         raise TooManyHalfspaces(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
-    cache: dict[frozenset[int], bool] = {}
+    cache = {frozenset(t): True for t in spec.terms}
     result = []
     for size in range(1, spec.r + 1):
         for combo in itertools.combinations(range(spec.r), size):
@@ -308,25 +321,30 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     """Assemble the geometry certificate.
 
     `overrides`, if given, is one point pinned as the witness of every
-    index set.  Every witness's margin is evaluated at the witness, so
-    delta is the smallest margin one attains.  Raises UnboundedPositions
-    if any term is an unbounded polytope, AssumptionViolated if a witness
-    fails its strict margin.
+    index set.  Every witness's margin is evaluated at the witness: its r
+    row values h_i(y) once, then their minimum over each I, so delta is
+    the smallest margin one attains.  Boundedness is read from the
+    spec's stored term extents.  Raises UnboundedPositions if any term is
+    an unbounded polytope, AssumptionViolated if a witness fails its
+    strict margin.
     """
-    for li in range(len(spec.terms)):
-        if not is_bounded(*spec.rows.term_rows(li)[:2]):
+    for li, lo_hi in enumerate(spec.term_extents):
+        if not np.isfinite(lo_hi).all():
             raise UnboundedPositions(f"term {li} is unbounded")
     s_cap = enumerate_s_cap(spec)
     pinned = None if overrides is None else np.asarray(overrides, dtype=float)
     witnesses: dict[frozenset[int], np.ndarray] = {}
     delta = np.inf
-    # each I as a term: its minimum at y is min over I of h_i(y)
-    index_rows = TermRows(spec.A, spec.offsets, tuple(sorted(I) for I in s_cap))
-    if pinned is not None and not contains(spec, pinned):
-        raise AssumptionViolated("override witness lies outside the safety set")
-    for ell, I in enumerate(s_cap):
-        y = pinned if pinned is not None else max_min_point(spec, I)[0]
-        margin = float(max_min(index_rows, y)[1][ell])
+    if pinned is not None:
+        if not contains(spec, pinned):
+            raise AssumptionViolated("override witness lies outside the safety set")
+        y, vals = pinned, (pinned @ spec.A.T + spec.offsets).tolist()
+    for I in s_cap:
+        if pinned is None:
+            y = max_min_point(spec, I)[0]
+            vals = (y @ spec.A.T + spec.offsets).tolist()
+        # a few rows: plain Python beats numpy's per-call cost here
+        margin = min(vals[i] for i in I)
         if margin <= 0.0:
             raise AssumptionViolated(f"witness for {sorted(I)} lacks a positive margin")
         witnesses[I] = y
@@ -340,9 +358,8 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
 
 
 def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) axis-aligned bounds of the safety set: the term extents' hull."""
-    ext = np.array([extents(*spec.rows.term_rows(ell)[:2])
-                    for ell in range(len(spec.terms))])
+    """(lo, hi) axis-aligned bounds of the safety set: the stored term extents' hull."""
+    ext = spec.term_extents
     if not np.isfinite(ext).all():
         raise UnboundedPositions("term unbounded while computing bounds")
     return ext[:, 0].min(axis=0), ext[:, 1].max(axis=0)

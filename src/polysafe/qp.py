@@ -370,31 +370,3 @@ class SafeguardAssembler:
                                M_star=float(sol.z[m + 1]), B=act.value,
                                margins=margins, row_labels=self.row_labels,
                                solution=sol, fast_path=False)
-
-
-def safeguard(cbf: ExtendedCbf, plant, weights: QpWeights, input_set, x,
-              u_nom=None) -> SafeguardResult:
-    """One-shot safeguarding solve; see SafeguardAssembler for the loop API."""
-    asm = SafeguardAssembler(cbf, plant, weights, input_set)
-    return asm.solve(np.asarray(x, dtype=float), u_nom=u_nom)
-
-
-def continuity_probe(cbf: ExtendedCbf, plant, weights: QpWeights, input_set,
-                     path, u_nom_fn=None) -> float:
-    """Max ||u*(x_{k+1}) - u*(x_k)|| / ||x_{k+1} - x_k|| along a path.
-
-    Empirical Lipschitz audit of the controller; identical consecutive
-    points contribute zero.
-    """
-    asm = SafeguardAssembler(cbf, plant, weights, input_set)
-    path = [np.asarray(x, dtype=float) for x in path]
-    us = []
-    for x in path:
-        u_nom = None if u_nom_fn is None else u_nom_fn(x)
-        us.append(asm.solve(x, u_nom=u_nom).u_star)
-    worst = 0.0
-    for (xa, ua), (xb, ub) in zip(zip(path, us), zip(path[1:], us[1:])):
-        dx = np.linalg.norm(xb - xa)
-        if dx > 0:
-            worst = max(worst, np.linalg.norm(ub - ua) / dx)
-    return worst

@@ -60,6 +60,14 @@ def eval_barrier_naive(cbf, x):
     return best
 
 
+def extended_extents_full(cbf):
+    """Per extended term, the 2 x 2n extents of every coordinate (4n LPs)."""
+    from polysafe.polytope import extents
+
+    return np.array([extents(*cbf.term_rows(ell)[:2])
+                     for ell in range(len(cbf.spec.terms))])
+
+
 def sample_safe_positions(spec, count, seed):
     """Rejection-sample `count` positions inside the safety region."""
     from polysafe.polytope import eval_h_many, position_bounding_box
@@ -128,3 +136,31 @@ def scan_grid_pointwise(plant, grid, dirs, v_cap):
                       (np.concatenate([x1, d]) for d in dirs)],
             key=lambda t: t[0])
     return x1_k1, x1_kG, top
+
+
+def safeguard(cbf, plant, weights, input_set, x, u_nom=None):
+    """One-shot filter solve at x, with no control period."""
+    from polysafe.qp import SafeguardAssembler
+
+    asm = SafeguardAssembler(cbf, plant, weights, input_set)
+    return asm.solve(np.asarray(x, dtype=float), u_nom=u_nom)
+
+
+def continuity_probe(cbf, plant, weights, input_set, path, u_nom_fn=None):
+    """Max ||u*(x_{k+1}) - u*(x_k)|| / ||x_{k+1} - x_k|| along a path.
+
+    Empirical Lipschitz audit of the filter; identical consecutive
+    points contribute zero.
+    """
+    from polysafe.qp import SafeguardAssembler
+
+    asm = SafeguardAssembler(cbf, plant, weights, input_set)
+    path = [np.asarray(x, dtype=float) for x in path]
+    us = [asm.solve(x, u_nom=None if u_nom_fn is None else u_nom_fn(x)).u_star
+          for x in path]
+    worst = 0.0
+    for (xa, ua), (xb, ub) in zip(zip(path, us), zip(path[1:], us[1:])):
+        dx = np.linalg.norm(xb - xa)
+        if dx > 0:
+            worst = max(worst, np.linalg.norm(ub - ua) / dx)
+    return worst

@@ -147,6 +147,33 @@ def test_compactness_accepts_a_zero_offset_companion_row():
     assert check_compactness(cbf)
 
 
+def test_certification_lp_budget(monkeypatch):
+    # every LP of the package goes through one of these names; one call is
+    # one LP, the feasibility check an infeasible phase 1 starts included
+    from polysafe import cbf as pcbf, lp as plp, polytope as ppoly
+    from polysafe.polytope import position_bounding_box
+
+    calls = []
+    solve = plp.lp_solve
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    for module in (plp, ppoly, pcbf):
+        monkeypatch.setattr(module, "lp_solve", counting)
+    spec = hexagon_spec()
+    assert len(calls) == 4   # the term's extents, which also show it nonempty
+    cert = compute_cert(spec, overrides=np.zeros(2))
+    cbf = build(spec, cert, 10.0, 0.1)
+    assert len(calls) == 4
+    assert check_compactness(cbf)
+    velocity_bound(cbf)
+    assert len(calls) == 8   # plus the velocity extents, solved once
+    position_bounding_box(spec)
+    assert len(calls) == 8
+
+
 def test_velocity_bound_slab_analytic(slab, slab_cert):
     for gamma, eps in ((1.0, 0.5), (3.0, 0.2), (10.0, 1.0)):
         cert = velocity_bound(build(slab, slab_cert, gamma, eps))

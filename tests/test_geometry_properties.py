@@ -3,9 +3,12 @@ fails with a documented geometry error or holds everything the barrier
 relies on."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
+from hypothesis.internal.compat import int_from_bytes
+from hypothesis.internal.reflection import function_digest
 from hypothesis import strategies as st
 
+from _oracles import extended_extents_full
 from polysafe.cbf import (
     build,
     check_compactness,
@@ -15,10 +18,18 @@ from polysafe.cbf import (
     velocity_bound,
     verify_safety_condition,
 )
-from polysafe.errors import PolysafeError
+from polysafe.errors import AssumptionViolated, PolysafeError
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
-from polysafe.polytope import HalfSpace, SafetySpec, compute_cert, contains, eval_h
+from polysafe.polytope import (
+    HalfSpace,
+    SafetySpec,
+    compute_cert,
+    contains,
+    eval_h,
+    extents,
+    max_min,
+)
 
 MAX_ROWS = 8   # the index sets enumerated number 2^r - 1
 
@@ -89,3 +100,49 @@ def test_random_geometry_certificate_holds_or_fails_documented(data):
     X = sample_boundary(cbf, 20, seed=0)
     report = verify_safety_condition(cbf, double_integrator(spec.n), Unbounded(), X)
     assert report.all_feasible, report.worst_margin
+
+
+def _h_rows(spec, y):
+    """h_i(y) per half-space index i, from h's own evaluation (max_min)."""
+    return dict(zip(spec.rows.ids, max_min(spec.rows, y)[0].tolist()))
+
+
+def _same_specs_as(test):
+    """The seed `derandomize=True` gives `test`: with it, another test
+    that draws `bounded_specs()` first draws the same specs."""
+    return seed(int_from_bytes(function_digest(test.hypothesis.inner_test)))
+
+
+@_same_specs_as(test_random_geometry_certificate_holds_or_fails_documented)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_geometry_stored_extents_match_the_lps(data):
+    """What the spec and the barrier store equals what the LPs give, over
+    the certificate test's 40 specs."""
+    try:
+        spec = data.draw(bounded_specs())
+    except PolysafeError as exc:
+        assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
+        return
+    for ell in range(len(spec.terms)):
+        lps = np.array(extents(*spec.rows.term_rows(ell)[:2]))
+        assert spec.term_extents[ell].tobytes() == lps.tobytes()
+    try:
+        certs = [compute_cert(spec)]
+    except PolysafeError as exc:
+        assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
+        return
+    try:   # the largest index set's witness, pinned for every index set
+        certs.append(compute_cert(spec, overrides=certs[0].witnesses[certs[0].s_cap[-1]]))
+    except AssumptionViolated:   # it lacks a margin on some index set
+        pass
+    for cert in certs:
+        attained = min(_h_rows(spec, y)[i] for I, y in cert.witnesses.items() for i in I)
+        assert cert.delta == attained
+    for gamma in (1.0, 3.0):
+        cbf = build(spec, certs[0], gamma, certs[0].delta / 2)
+        full = extended_extents_full(cbf)
+        velocity = full[:, :, spec.n:]
+        assert cbf.velocity_extents.tobytes() == velocity.tobytes()
+        assert check_compactness(cbf) == bool(np.isfinite(full).all())
+        assert velocity_bound(cbf).per_component_bound == np.abs(velocity).max()

@@ -65,14 +65,21 @@ def test_spec_rejects_bad_terms(terms):
 def test_spec_rejects_dependent_augmented_pair():
     # identical hyperplane written twice (scaled copy)
     hs = (_hs([1.0, 0.0], 1.0), _hs([2.0, 0.0], 2.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="half-spaces 0 and 1 "):
         SafetySpec(halfspaces=hs, terms=((0, 1),), n=2)
+    hs = (_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0), _hs([-1.0, 0.0], 1.0),
+          _hs([0.0, -3.0], -3.0))   # the second, scaled by -3
+    with pytest.raises(ValidationError, match="half-spaces 1 and 3 "):
+        SafetySpec(halfspaces=hs, terms=((0, 1, 2, 3),), n=2)
 
 
 def test_spec_rejects_empty_term():
     hs = (_hs([1.0], -2.0), _hs([-1.0], -2.0))  # x >= 2 and x <= -2
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="term 0 is an empty intersection"):
         SafetySpec(halfspaces=hs, terms=((0, 1),), n=1)
+    hs += (_hs([1.0], 1.0), _hs([-1.0], 3.0))   # -1 <= x <= 3
+    with pytest.raises(ValidationError, match="term 1 is an empty intersection"):
+        SafetySpec(halfspaces=hs, terms=((2, 3), (0, 1)), n=1)
 
 
 def test_spec_dimension_mismatch():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import qp_bruteforce, random_qp
+from _oracles import continuity_probe, qp_bruteforce, random_qp, safeguard
 from polysafe.cbf import build, eval_B
 from polysafe.errors import Infeasible, NotPositiveDefinite, ParameterViolation
 from polysafe.inputs import Box, Unbounded
@@ -13,8 +13,6 @@ from polysafe.qp import (
     QpProblem,
     QpWeights,
     SafeguardAssembler,
-    continuity_probe,
-    safeguard,
     solve_qp,
 )
 from polysafe.sim import rk4_step
