@@ -33,6 +33,10 @@ class PlantModel:
     The optional split f2 = f2_potential(x1) + f2_velocity(x1, x2), with
     f2_velocity a quadratic form in x2 (Coriolis/centripetal forcing), is
     needed for the Euler-Lagrange constant estimates (estimate_constants).
+
+    accel(x1, x2, u), if given, is f2 + G2 u in one call, on lists of
+    floats; rk4_step calls it once per stage.  Without it rk4_step reads f2
+    and G2 at each step, so a dataclasses.replace copy integrates its own.
     """
 
     n: int
@@ -41,6 +45,7 @@ class PlantModel:
     G2: Callable[[np.ndarray], np.ndarray]
     f2_potential: Callable[[np.ndarray], np.ndarray] | None = None
     f2_velocity: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    accel: Callable[[list, list, list], list] | None = None
 
     @property
     def has_split(self) -> bool:
@@ -49,25 +54,39 @@ class PlantModel:
 
 def rk4_step(plant: PlantModel, u: np.ndarray, x: np.ndarray,
              dt: float) -> np.ndarray:
-    """Classical RK4 step of xdot = (x2, f2 + G2 u) with u held constant."""
-    n = plant.n
+    """Classical RK4 step of xdot = (x2, f2 + G2 u) with u held constant.
 
-    def xdot(state):
-        x1, x2 = state[:n], state[n:]
-        return np.concatenate([x2, plant.f2(x1, x2) + plant.G2(x1) @ u])
+    One plant call per stage (plant.accel, else f2 + G2 @ u); the stage
+    arithmetic runs elementwise on Python floats, in the order of arrays.
+    """
+    n, h, u = plant.n, 0.5 * dt, np.asarray(u, dtype=float)
+    accel = plant.accel
+    if accel is None:
+        f2, G2 = plant.f2, plant.G2
 
-    k1 = xdot(x)
-    k2 = xdot(x + 0.5 * dt * k1)
-    k3 = xdot(x + 0.5 * dt * k2)
-    k4 = xdot(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        def accel(x1, x2, _):
+            x1 = np.array(x1)
+            return (f2(x1, np.array(x2)) + G2(x1) @ u).tolist()
+
+    us, xs = u.tolist(), np.asarray(x, dtype=float).tolist()
+    k1 = xs[n:] + accel(xs[:n], xs[n:], us)
+    s = [a + h * b for a, b in zip(xs, k1)]
+    k2 = s[n:] + accel(s[:n], s[n:], us)
+    s = [a + h * b for a, b in zip(xs, k2)]
+    k3 = s[n:] + accel(s[:n], s[n:], us)
+    s = [a + dt * b for a, b in zip(xs, k3)]
+    k4 = s[n:] + accel(s[:n], s[n:], us)
+    w = dt / 6.0
+    return np.array([a + w * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(xs, k1, k2, k3, k4)])
 
 
 @dataclass(frozen=True)
 class ElConstants:
-    """Grid-certified force and inertia bounds over the safety set.
+    """Force and inertia constants over the safety set: grid maxima refined
+    by a local polish (estimate_constants), so lower bounds of the maxima.
 
-    k2 is certified on the velocity ball ||x2|| <= v_cap only (the
+    k2 is estimated on the velocity ball ||x2|| <= v_cap only (the
     velocity force is quadratic for the arm, so a linear bound needs a
     bounded velocity set).
     """
@@ -149,18 +168,20 @@ def potential_vector(p: ArmParams, theta: np.ndarray) -> np.ndarray:
 
 
 def two_link_arm(params: ArmParams) -> PlantModel:
-    """n = m = 2 arm plant with G2 = M^{-1} and the Coriolis/potential split.
+    """n = m = 2 arm plant: G2 = M^{-1}, the Coriolis/potential split, accel.
 
     The dynamics are evaluated in scalars, from the same entries as
     mass_matrix, coriolis_matrix and potential_vector: they run many times
     per control step, and numpy's per-call cost dominates on 2x2 arrays.
+    accel, which rk4_step calls once per stage, takes one cosine and one
+    sine of theta2 and one inverse of the inertia, and builds no array.
     """
     c = params.coefficients
 
     def _inverse_inertia(theta):
         m11, m12, m21, m22 = _inertia(c, theta)
         det = m11 * m22 - m12 * m21
-        if abs(det) < 1e-12:
+        if abs(det) < 1e-12 * m11 * m22:   # relative: M scales with m l^2
             raise SingularInertia(f"inertia matrix singular at theta2={theta[1]:.4g}")
         return m22 / det, -m12 / det, -m21 / det, m11 / det
 
@@ -188,8 +209,15 @@ def two_link_arm(params: ArmParams) -> PlantModel:
     def f2_potential(x1):
         return _solve(x1, 0.0, _potential(c, x1))
 
-    return PlantModel(n=2, m=2, f2=f2, G2=G2,
-                      f2_potential=f2_potential, f2_velocity=f2_velocity)
+    def accel(x1, x2, u):
+        r0, r1 = _coriolis_force(x1, x2)
+        i11, i12, i21, i22 = _inverse_inertia(x1)
+        r0 += u[0]
+        r1 += _potential(c, x1) + u[1]
+        return [i11 * r0 + i12 * r1, i21 * r0 + i22 * r1]
+
+    return PlantModel(n=2, m=2, f2=f2, G2=G2, f2_potential=f2_potential,
+                      f2_velocity=f2_velocity, accel=accel)
 
 
 def double_integrator(n: int = 1) -> PlantModel:

@@ -138,6 +138,21 @@ def scan_grid_pointwise(plant, grid, dirs, v_cap):
     return x1_k1, x1_kG, top
 
 
+def rk4_step_reference(plant, u, x, dt):
+    """The classical RK4 step on arrays, with f2 + G2 @ u at every stage."""
+    n = plant.n
+
+    def xdot(state):
+        x1, x2 = state[:n], state[n:]
+        return np.concatenate([x2, plant.f2(x1, x2) + plant.G2(x1) @ u])
+
+    k1 = xdot(x)
+    k2 = xdot(x + 0.5 * dt * k1)
+    k3 = xdot(x + 0.5 * dt * k2)
+    k4 = xdot(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def safeguard(cbf, plant, weights, input_set, x, u_nom=None):
     """One-shot filter solve at x, with no control period."""
     from polysafe.qp import SafeguardAssembler

@@ -260,6 +260,15 @@ def test_simulate_writes_csv_and_plots(tmp_path, specfile):
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_simulate_small_arm_exit_0(tmp_path, specfile):
+    # det M is about 1e-16 at every state, yet M is well conditioned
+    scenario = _scenario(tmp_path, specfile, t_final=0.01,
+                         plant={"type": "two_link_arm", "m1": 1e-4, "m2": 1e-4,
+                                "l1": 0.01, "l2": 0.01})
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "r"),
+                 "--skip-verify"]) == 0
+
+
 def test_simulate_alpha_dt_above_one_exit_2(tmp_path, specfile):
     # the held-step filter needs c_alpha * dt <= 1: here 2000 * 1e-3 = 2
     scenario = _scenario(tmp_path, specfile,

@@ -1,9 +1,11 @@
 """Arm dynamics, constant estimation, and design-parameter selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from _oracles import sample_safe_positions, scan_grid_pointwise
+from _oracles import rk4_step_reference, sample_safe_positions, scan_grid_pointwise
 from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
 from polysafe.errors import InsufficientActuation, NoSplit, ValidationError
@@ -90,6 +92,68 @@ def test_double_integrator_shapes():
     np.testing.assert_allclose(plant.f2(np.ones(3), np.ones(3)), np.zeros(3))
     np.testing.assert_allclose(plant.G2(np.ones(3)), np.eye(3))
     assert plant.has_split
+
+
+def test_small_arm_inertia_is_not_singular():
+    # det M is 1.2e-16 here, but M is well conditioned (about 25)
+    params = ArmParams(m1=1e-4, m2=1e-4, l1=0.01, l2=0.01)
+    theta = np.array([0.1, 0.5])
+    M = mass_matrix(params, theta)
+    assert np.linalg.cond(M) < 30
+    np.testing.assert_allclose(M @ two_link_arm(params).G2(theta), np.eye(2),
+                               rtol=0, atol=1e-12)
+
+
+# --- one plant call per RK4 stage, against the f2 + G2 @ u oracle --------------
+
+def _random_states(seed, n=2, count=300):
+    """Positions in [-2, 2] rad, speeds up to 60 rad/s (the gamma = 10 loop's
+    velocity bound is 62.7) and inputs up to 100."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return (rng.uniform(-2.0, 2.0, (count, n)), rng.uniform(-60.0, 60.0, (count, n)),
+            rng.uniform(-100.0, 100.0, (count, n)))
+
+
+def _custom_plant():
+    """A 2-D plant without accel: state-dependent drift and input gain."""
+    return PlantModel(n=2, m=2,
+                      f2=lambda x1, x2: np.array([np.sin(x1[0]) * x2[1], -x2[0] * x2[1]]),
+                      G2=lambda x1: np.array([[2.0 + np.cos(x1[1]), 0.3], [x1[0], 1.5]]))
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+def test_arm_accel_is_f2_plus_G2u(gravity):
+    arm = two_link_arm(ArmParams(gravity=gravity))
+    for x1, x2, u in zip(*_random_states(41)):
+        f2, G2u = arm.f2(x1, x2), arm.G2(x1) @ u
+        got = arm.accel(x1.tolist(), x2.tolist(), u.tolist())
+        assert np.abs(got - (f2 + G2u)).max() <= 1e-13 * np.abs([f2, G2u]).max()
+
+
+@pytest.mark.parametrize("plant", [
+    two_link_arm(ArmParams()), two_link_arm(ArmParams(gravity=True)),
+    double_integrator(1), double_integrator(2), double_integrator(3), _custom_plant(),
+], ids=["arm", "gravity_arm", "di1", "di2", "di3", "custom"])
+def test_rk4_step_matches_reference(plant):
+    # a plant without accel gets the reference's arithmetic: equal bits
+    tol = 1e-13 if plant.accel is not None else 0.0
+    for x1, x2, u in zip(*_random_states(43, plant.n)):
+        x = np.concatenate([x1, x2])
+        ref = rk4_step_reference(plant, u, x, 1e-3)
+        np.testing.assert_allclose(rk4_step(plant, u, x, 1e-3), ref,
+                                   rtol=tol, atol=tol * np.abs(ref).max())
+
+
+def test_replaced_dynamics_are_integrated():
+    # a derived accel reads the copy's f2 and G2; a plant's own accel is kept
+    custom = _custom_plant()
+    damped = dataclasses.replace(custom, f2=lambda x1, x2: -x2)
+    x, u = np.array([0.2, -0.1, 3.0, 1.0]), np.array([1.0, -2.0])
+    np.testing.assert_array_equal(rk4_step(damped, u, x, 1e-2),
+                                  rk4_step_reference(damped, u, x, 1e-2))
+    assert np.abs(rk4_step(damped, u, x, 1e-2) - rk4_step(custom, u, x, 1e-2)).max() > 1e-3
+    arm = two_link_arm(ArmParams())
+    assert dataclasses.replace(arm, f2=custom.f2).accel is arm.accel
 
 
 # --- nominal tracking controller ----------------------------------------------
