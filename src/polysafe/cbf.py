@@ -113,14 +113,28 @@ class ExtendedCbf:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Barrier value at a state plus activation bookkeeping; `row_values`
-    (one per row of `cbf.rows`) and `per_term_min` are max_min's output."""
+    """Barrier value at a state; `row_values` (one per row of `rows`) and
+    `per_term_min` are max_min's output.  The activation bookkeeping,
+    `argmax_terms` and `active_indices`, is worked out on each read."""
 
     value: float
-    argmax_terms: tuple[int, ...]
-    active_indices: frozenset[int]
     per_term_min: np.ndarray
     row_values: np.ndarray
+    rows: TermRows
+
+    @property
+    def argmax_terms(self) -> tuple[int, ...]:
+        """Terms whose minimum is within ACTIVATION_TOL of the value."""
+        return tuple(ell for ell, v in enumerate(self.per_term_min.tolist())
+                     if v >= self.value - ACTIVATION_TOL)
+
+    @property
+    def active_indices(self) -> frozenset[int]:
+        """Extended indices of the argmax terms' rows within ACTIVATION_TOL
+        of the value."""
+        rows, vals, top = self.rows, self.row_values.tolist(), self.value + ACTIVATION_TOL
+        return frozenset(rows.ids[k] for ell in self.argmax_terms for k in rows.spans[ell]
+                         if vals[k] <= top)
 
 
 @dataclass(frozen=True)
@@ -198,21 +212,12 @@ def cbf_from_dict(d: dict) -> ExtendedCbf:
 
 
 def eval_B(cbf: ExtendedCbf, x: np.ndarray) -> ActiveSet:
-    """Exact max-min evaluation with activation bookkeeping."""
+    """Exact max-min evaluation; the activation bookkeeping waits for a read."""
     x = np.asarray(x, dtype=float)
     if x.size != 2 * cbf.n:
         raise ValueError(f"state must have dimension {2 * cbf.n}")
-    rows = cbf.rows
-    vals, mins, value = max_min(rows, x)
-    value = float(value)
-    # a dozen rows: plain Python beats numpy's per-call cost here
-    row_vals = vals.tolist()
-    argmax = tuple(ell for ell, v in enumerate(mins.tolist())
-                   if v >= value - ACTIVATION_TOL)
-    active = frozenset(rows.ids[k] for ell in argmax for k in rows.spans[ell]
-                       if row_vals[k] <= value + ACTIVATION_TOL)
-    return ActiveSet(value=value, argmax_terms=argmax, active_indices=active,
-                     per_term_min=mins, row_values=vals)
+    vals, mins, value = max_min(cbf.rows, x)
+    return ActiveSet(float(value), mins, vals, cbf.rows)
 
 
 def eval_B_many(cbf: ExtendedCbf, X: np.ndarray) -> np.ndarray:
@@ -378,12 +383,13 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
     for sid, x in enumerate(samples):
         x1, x2 = x[:n], x[n:]
         act = eval_B(cbf, x)
+        active = act.active_indices  # computed on each read: read it once
         binding = frozenset(
             i - r for i, v in zip(cbf.rows.ids, act.row_values.tolist())
-            if i >= r and i in act.active_indices and abs(v) <= 10 * ACTIVATION_TOL
+            if i >= r and i in active and abs(v) <= 10 * ACTIVATION_TOL
         )
         if not binding:
-            checks.append(SampleCheck(sid, x, act.active_indices, binding,
+            checks.append(SampleCheck(sid, x, active, binding,
                                       None, 0.0, np.inf, True))
             continue
         y = cbf.cert.witnesses[binding]
@@ -401,6 +407,6 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
         A_bind = cbf.spec.A[sorted(binding)]
         margin = float((A_bind @ accel).min())
         feasible = margin > 0.0 and input_set.contains(u_x)
-        checks.append(SampleCheck(sid, x, act.active_indices, binding,
+        checks.append(SampleCheck(sid, x, active, binding,
                                   u_x, beta, margin, feasible))
     return ConditionReport(samples=samples, checks=tuple(checks))

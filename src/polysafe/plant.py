@@ -243,6 +243,11 @@ class SineReference:
             if v.shape != (2,) or not np.isfinite(v).all():
                 raise ValueError(f"{name} must be two finite numbers")
             object.__setattr__(self, name, tuple(v.tolist()))
+        # rd and rdd scale by a w and a w^2: both must stay finite
+        for a, w in zip(self.amplitudes, self.frequencies):
+            if not (math.isfinite(a * w) and math.isfinite(a * (w * w))):
+                raise ValueError(f"amplitude {a!r} at frequency {w!r} overflows the "
+                                 "reference's derivatives")
 
     def r(self, t: float) -> np.ndarray:
         a, w = self.amplitudes, self.frequencies

@@ -15,6 +15,7 @@ import numpy as np
 from .cbf import ExtendedCbf, eval_B
 from .errors import (
     Infeasible,
+    NonFinite,
     NotPositiveDefinite,
     NumericalBreakdown,
     ParameterViolation,
@@ -30,7 +31,8 @@ FEASIBILITY_MARGIN = 0.1  # the filter refuses states with B below -this
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 0.5 z @ P @ z + c @ z  s.t.  G @ z <= h, with P symmetric PD."""
+    """min 0.5 z @ P @ z + c @ z  s.t.  G @ z <= h, with P symmetric PD and
+    every entry finite."""
 
     P: np.ndarray
     c: np.ndarray
@@ -42,6 +44,8 @@ class QpProblem:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         G = np.asarray(self.G, dtype=float).reshape(-1, c.size)
         h = np.atleast_1d(np.asarray(self.h, dtype=float)).reshape(G.shape[0])
+        if not all(np.isfinite(arr).all() for arr in (P, c, G, h)):
+            raise NonFinite("non-finite entries in the QP data")
         if np.linalg.norm(P - P.T) > 1e-10:
             raise NotPositiveDefinite("cost matrix is not symmetric")
         diag = P.diagonal()
@@ -326,24 +330,24 @@ class SafeguardAssembler:
             )
         Bi = act.row_values
         lift = act.value - act.per_term_min[rows.row_term]
-        u_nom = (np.zeros(m) if u_nom is None
-                 else np.atleast_1d(np.asarray(u_nom, dtype=float)))
+        u_nom = np.zeros(m) if u_nom is None else np.array(u_nom, dtype=float, ndmin=1)
 
         # candidate: u unconstrained-optimal, alpha and M at their lower
         # bounds with positive multipliers; globally optimal if feasible
-        z_cand = np.concatenate([u_nom, [w.c_alpha, w.c_M]])
         if dt is None:
             d, S = self._instant_rate(x)
             rate = d + S @ u_nom
         else:
             rate = (rk4_step(self.plant, u_nom, x, dt) - x) / dt
         margins = rows.A @ rate + w.c_alpha * Bi + w.c_M * lift
-        if ((margins >= -1e-11).all()
-                and (self._Gu_rows @ u_nom <= self._hu + 1e-11).all()):
+        # an input set with no rows admits every u, as in contains
+        if margins.min() >= -1e-11 and (
+                not self._hu.size or (self._Gu_rows @ u_nom <= self._hu + 1e-11).all()):
+            z_cand = np.concatenate([u_nom, [w.c_alpha, w.c_M]])
             if warm_start:
                 self._warm = z_cand
-            return SafeguardResult(u_star=z_cand[:m], alpha_star=float(z_cand[m]),
-                                   M_star=float(z_cand[m + 1]), B=act.value,
+            return SafeguardResult(u_star=z_cand[:m], alpha_star=float(w.c_alpha),
+                                   M_star=float(w.c_M), B=act.value,
                                    margins=margins, row_labels=self.row_labels,
                                    solution=None, fast_path=True)
 

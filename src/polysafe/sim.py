@@ -112,6 +112,8 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         X[k] = x
         H[k] = eval_h(sc.cbf.spec, x[:n])
         u_nom = sc.nominal(t[k], x) if sc.nominal is not None else np.zeros(m)
+        if not np.isfinite(u_nom).all():
+            raise NonFinite(f"non-finite nominal input at t={t[k]:.6g}")
         if asm is not None:
             tic = time.perf_counter()
             try:

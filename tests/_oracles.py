@@ -179,3 +179,22 @@ def continuity_probe(cbf, plant, weights, input_set, path, u_nom_fn=None):
         if dx > 0:
             worst = max(worst, np.linalg.norm(ub - ua) / dx)
     return worst
+
+
+def activation_eager(cbf, x):
+    """(argmax_terms, active_indices) of the barrier at x, built eagerly from
+    the stacked rows: the terms whose minimum is within ACTIVATION_TOL of the
+    max-min value, and the extended ids of their rows within ACTIVATION_TOL
+    of it."""
+    from polysafe.cbf import ACTIVATION_TOL
+    from polysafe.polytope import max_min
+
+    rows = cbf.rows
+    vals, mins, value = max_min(rows, np.asarray(x, dtype=float))
+    value = float(value)
+    row_vals = vals.tolist()
+    argmax = tuple(ell for ell, v in enumerate(mins.tolist())
+                   if v >= value - ACTIVATION_TOL)
+    active = frozenset(rows.ids[k] for ell in argmax for k in rows.spans[ell]
+                       if row_vals[k] <= value + ACTIVATION_TOL)
+    return argmax, active

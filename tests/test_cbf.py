@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eval_barrier_naive, sample_safe_positions
+from _oracles import activation_eager, eval_barrier_naive, sample_safe_positions
 from polysafe.cbf import (
+    ACTIVATION_TOL,
     build,
     cbf_from_dict,
     check_compactness,
@@ -103,6 +104,48 @@ def test_barrier_union_is_max_of_terms(pt):
     naive = [cbf.row(i)[0] @ x + cbf.row(i)[1] for ids in cbf.extended_terms
              for i in ids]
     np.testing.assert_allclose(act.row_values, naive, rtol=0, atol=1e-12)
+
+
+# --- activation bookkeeping ---------------------------------------------------
+
+def _bookkeeping_cbf(name, hexagon_cbf, slab_cbf):
+    return {"hexagon": hexagon_cbf, "slab": slab_cbf, "union": _union_cbf()}[name]
+
+
+@pytest.mark.parametrize("name", ["hexagon", "slab", "union"])
+def test_lazy_bookkeeping_matches_eager_oracle(name, hexagon_cbf, slab_cbf):
+    cbf = _bookkeeping_cbf(name, hexagon_cbf, slab_cbf)
+    dim = 2 * cbf.n
+    rng = np.random.Generator(np.random.Philox(23))
+    states = list(rng.uniform(-3.0, 3.0, size=(200, dim)))
+    states += [lift_position(cbf, y) for y in cbf.cert.witnesses.values()]
+    states += list(sample_boundary(cbf, 40, seed=3))
+    for x in states:
+        act = eval_B(cbf, x)
+        assert (act.argmax_terms, act.active_indices) == activation_eager(cbf, x)
+
+
+@pytest.mark.parametrize("name", ["hexagon", "slab", "union"])
+def test_lazy_bookkeeping_at_near_ties(name, hexagon_cbf, slab_cbf):
+    # along x1 through the origin two values split by 2 |x1|: the hexagon's
+    # rows 0 and 1, the slab's velocity rows, the union's two terms; steps of
+    # a quarter ACTIVATION_TOL walk across the tolerance either side
+    cbf = _bookkeeping_cbf(name, hexagon_cbf, slab_cbf)
+    e1 = np.eye(2 * cbf.n)[0]
+    sizes = set()
+    for j in range(-8, 9):
+        x = j * 0.25 * ACTIVATION_TOL * e1
+        act = eval_B(cbf, x)
+        assert (act.argmax_terms, act.active_indices) == activation_eager(cbf, x)
+        sizes.add((len(act.argmax_terms), len(act.active_indices)))
+    assert len(sizes) > 1  # the tie is both inside and outside the tolerance
+
+
+def test_condition_report_active_sets_match_oracle(hexagon_cbf, arm):
+    samples = sample_boundary(hexagon_cbf, 30, seed=8)
+    report = verify_safety_condition(hexagon_cbf, arm, Unbounded(), samples)
+    for c in report.checks:
+        assert c.active_indices == activation_eager(hexagon_cbf, c.x)[1]
 
 
 # --- lift ---------------------------------------------------------------------

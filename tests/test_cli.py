@@ -367,6 +367,10 @@ _NAN, _INF = float("nan"), float("inf")
                  "controller.reference", id="amplitudes-length"),
     pytest.param(_simulate_with(**_controller(reference={"amplitudes": "ab"})),
                  "controller.reference", id="amplitudes-text"),
+    pytest.param(_simulate_with(**_controller(reference={"frequencies": [1e200, 4.0]})),
+                 "controller.reference", id="frequency-square-overflows"),
+    pytest.param(_simulate_with(**_controller(reference={"frequencies": [1e154, 4.0]})),
+                 "controller.reference", id="frequency-rdd-overflows"),
     pytest.param(_simulate_with(**_controller(
         input_set={"type": "box", "limits": [_NAN, 1.0]})),
         "controller.input_set", id="box-nan"),

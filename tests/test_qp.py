@@ -5,7 +5,12 @@ import pytest
 
 from _oracles import continuity_probe, qp_bruteforce, random_qp, safeguard
 from polysafe.cbf import build, eval_B
-from polysafe.errors import Infeasible, NotPositiveDefinite, ParameterViolation
+from polysafe.errors import (
+    Infeasible,
+    NonFinite,
+    NotPositiveDefinite,
+    ParameterViolation,
+)
 from polysafe.inputs import Box, Unbounded
 from polysafe.plant import double_integrator
 from polysafe.polytope import compute_cert, slab_spec
@@ -277,7 +282,16 @@ def test_input_box_respected(slab_cbf, slab_weights):
     box = Box(np.array([0.5]))
     res = safeguard(slab_cbf, plant, slab_weights, box,
                     x=np.array([0.0, 0.0]), u_nom=np.array([5.0]))
+    assert not res.fast_path  # the box rejects u_nom
     assert abs(res.u_star[0]) <= 0.5 + 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_nominal_input_raises_nonfinite(hexagon_cbf, arm, bad):
+    asm = SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded())
+    with pytest.raises(NonFinite):
+        asm.solve(np.zeros(4), u_nom=np.array([bad, 0.0]))
 
 
 def test_arm_fast_path_at_start(hexagon_cbf, arm, arm_nominal):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polysafe.cbf import eval_B, velocity_bound
-from polysafe.errors import QpInfeasibleAt
+from polysafe.errors import NonFinite, QpInfeasibleAt
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
 from polysafe.sim import Scenario, audit_invariance, rk4_step, simulate
@@ -129,6 +129,16 @@ def test_infeasible_start_aborts_with_context(hexagon_cbf, arm):
     with pytest.raises(QpInfeasibleAt) as err:
         simulate(sc)
     assert err.value.t == 0.0
+
+
+@pytest.mark.parametrize("mode", ["nominal", "safeguarded"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_nominal_input_aborts_as_nonfinite(hexagon_cbf, arm, mode, bad):
+    sc = Scenario(cbf=hexagon_cbf, plant=arm, mode=mode, x0=np.zeros(4),
+                  t_final=0.01, nominal=lambda t, x: np.array([bad, 0.0]),
+                  input_set=Unbounded())
+    with pytest.raises(NonFinite, match="nominal input at t=0"):
+        simulate(sc)
 
 
 # --- invariance audit ---------------------------------------------------------
