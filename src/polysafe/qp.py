@@ -8,6 +8,7 @@ decision variables bounded below by c_alpha and c_M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,7 @@ class QpSolution:
     residuals: dict = field(default_factory=dict)
     farkas: np.ndarray | None = None
     iterations: int = 0
+    start: np.ndarray | None = None  # the feasible point the active set began at
 
     @property
     def optimal(self) -> bool:
@@ -98,10 +100,11 @@ def _feasible_start(G: np.ndarray, h: np.ndarray, hint):
 def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """Primal active-set method from a feasible point.
 
-    The working set starts empty at the phase-1 point (or caller hint)
-    and rows are added/dropped with lowest-index tie-breaking, which
-    makes the solve deterministic.  Strict convexity makes the optimum
-    unique.
+    The working set starts empty at the hint `start` if it is feasible,
+    else at the phase-1 LP's point, and the solution reports that point
+    as its `start`.  Rows are added/dropped with lowest-index
+    tie-breaking, which makes the solve deterministic.  Strict convexity
+    makes the optimum unique, whatever the start.
 
     The working rows stay linearly independent without a rank test: the
     KKT solve gives Gw @ p = 0, so any row in their span has g @ p = 0 up
@@ -119,6 +122,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
                 None if phase1.dual is None else phase1.dual[:-1]))
     else:
         z = start if start is not None else np.zeros(nz)
+    z0 = z
 
     g_norm = np.linalg.norm(G, axis=1)
     K = np.zeros((nz + G.shape[0], nz + G.shape[0]))
@@ -137,7 +141,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         step_p = sol[:nz]
         lam_w = sol[nz:]
         p_norm = np.linalg.norm(step_p)
-        if p_norm <= 1e-11 * max(1.0, np.linalg.norm(z)):
+        # with nz independent working rows p is zero but for round-off
+        if len(work) == nz or p_norm <= 1e-11 * max(1.0, np.linalg.norm(z)):
             if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
                 break
             worst = int(np.argmin(lam_w))
@@ -181,7 +186,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     return QpSolution(status="optimal", z=z,
                       objective=float(0.5 * z @ P @ z + c @ z),
                       active=tuple(sorted(work)), lam=lam,
-                      residuals=residuals, iterations=it + 1)
+                      residuals=residuals, iterations=it + 1, start=z0)
 
 
 @dataclass(frozen=True)
@@ -284,7 +289,7 @@ class SafeguardAssembler:
         self._P[m, m] = 2.0 * weights.q_alpha
         self._P[m + 1, m + 1] = 2.0 * weights.q_M
         self._P.setflags(write=False)
-        self._warm = None
+        self._warm = self._start = None
 
     def _instant_rate(self, x: np.ndarray):
         """(d, S) with xdot(x, u) = d + S @ u."""
@@ -316,9 +321,13 @@ class SafeguardAssembler:
               warm_start: bool = False) -> SafeguardResult:
         """Filter u_nom (zero when None) at state x.
 
-        warm_start: consecutive calls along one trajectory; the previous
-        optimizer seeds the active-set start and, with a hold period, is
-        the input the held step is linearized at.
+        warm_start: consecutive calls along one trajectory.  The last QP
+        step's start point, its accepted hint or phase-1 point, is the
+        next one's hint: the phase-1 LP maximizes the smallest row slack,
+        capped at 1, so its point stays feasible while the rows move by
+        O(dt), whereas the optimum lies on rows that move off it.  With a
+        hold period the previous optimizer is the input the held step is
+        linearized at.
         """
         w, m, dt = self.weights, self.m, self.dt
         rows = self.cbf.rows
@@ -331,6 +340,9 @@ class SafeguardAssembler:
         Bi = act.row_values
         lift = act.value - act.per_term_min[rows.row_term]
         u_nom = np.zeros(m) if u_nom is None else np.array(u_nom, dtype=float, ndmin=1)
+        # math.isfinite per entry costs a tenth of np.isfinite on a 2-vector
+        if not all(map(math.isfinite, u_nom.tolist())):
+            raise NonFinite("non-finite nominal input")
 
         # candidate: u unconstrained-optimal, alpha and M at their lower
         # bounds with positive multipliers; globally optimal if feasible
@@ -362,13 +374,12 @@ class SafeguardAssembler:
 
         c = np.concatenate([-2.0 * self._Q @ u_nom, [0.0, 0.0]])
         prob = QpProblem(P=self._P, c=c, G=G, h=h)
-        start = self._warm if warm_start else None
-        sol = solve_qp(prob, start=start)
+        sol = solve_qp(prob, start=self._start if warm_start else None)
         if not sol.optimal:
             raise Infeasible("safeguarding QP infeasible: the boundary safety "
                              "condition fails here or the input set is too small")
         if warm_start:
-            self._warm = sol.z
+            self._warm, self._start = sol.z, sol.start
         margins = coef @ sol.z + const
         return SafeguardResult(u_star=sol.z[:m], alpha_star=float(sol.z[m]),
                                M_star=float(sol.z[m + 1]), B=act.value,

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .cbf import ExtendedCbf, VelocityCert, eval_B, eval_B_many
-from .errors import Infeasible, NonFinite, QpInfeasibleAt
+from .errors import Infeasible, NonFinite, QpInfeasibleAt, UsageError
 from .plant import PlantModel, rk4_step
 from .polytope import eval_h, eval_h_many
 from .qp import QpWeights, SafeguardAssembler
@@ -87,18 +87,22 @@ class TrajectoryLog:
 
 def simulate(sc: Scenario) -> TrajectoryLog:
     """Run the closed loop; aborts with QpInfeasibleAt on filter failure."""
-    steps = int(round(sc.t_final / sc.dt)) if sc.t_final > 0 else 0
-    npt = steps + 1
     n, m = sc.plant.n, sc.plant.m
-    t = np.arange(npt) * sc.dt
-    X = np.zeros((npt, 2 * n))
-    U = np.zeros((npt, m))
-    B = np.zeros(npt)
-    H = np.zeros(npt)
-    alpha = np.full(npt, np.nan)
-    Mv = np.full(npt, np.nan)
+    try:
+        steps = int(round(sc.t_final / sc.dt)) if sc.t_final > 0 else 0
+        npt = steps + 1
+        t = np.arange(npt) * sc.dt
+        X = np.zeros((npt, 2 * n))
+        U = np.zeros((npt, m))
+        B = np.zeros(npt)
+        H = np.zeros(npt)
+        alpha = np.full(npt, np.nan)
+        Mv = np.full(npt, np.nan)
+        solve_us = np.zeros(npt)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise UsageError(f"t_final / dt = {sc.t_final / sc.dt:.4g} steps are too "
+                         "many to log") from exc
     status = []
-    solve_us = np.zeros(npt)
 
     asm = None
     if sc.mode == "safeguarded":

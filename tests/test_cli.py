@@ -422,6 +422,13 @@ _NAN, _INF = float("nan"), float("inf")
         "--seed", "7", "--out", str(tmp_path)], "--seed", id="construct-seed"),
     pytest.param(_simulate_with(t_final="x"), "t_final", id="t_final-text"),
     pytest.param(_simulate_with(dt="x"), "dt", id="dt-text"),
+    # horizons whose log numpy refuses at once, before allocating anything
+    pytest.param(_simulate_with(t_final=1e12, dt=1e-3), "t_final / dt",
+                 id="horizon-too-long"),
+    pytest.param(_simulate_with(t_final=1.0, dt=1e-300), "t_final / dt",
+                 id="step-too-short"),
+    pytest.param(_simulate_with(t_final=1e300, dt=1e-10), "t_final / dt",
+                 id="step-count-overflows"),
     pytest.param(_simulate_with(initial_state=["a", 0.0, 0.0, 0.0]), "initial_state",
                  id="initial_state-text"),
     pytest.param(_simulate_with(plant={"type": "two_link_arm", "gravity": "false"}),

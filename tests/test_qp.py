@@ -1,5 +1,7 @@
 """QP solver oracle equivalence and safeguarding controller behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,31 @@ def test_scaled_instances_converge(scale):
         sol = solve_qp(QpProblem(P=P, c=scale * c, G=G, h=scale * h))
         assert sol.optimal
         np.testing.assert_allclose(sol.z / scale, ref.z, rtol=0, atol=1e-10)
+
+
+def test_any_strictly_feasible_start_gives_the_same_optimum():
+    # criterion 4's instances, each solved from its phase-1 point and from
+    # random points strictly inside the feasible set
+    rng = np.random.Generator(np.random.Philox(4))
+    hints = np.random.Generator(np.random.Philox(41))
+    for _ in range(500):
+        P, c, G, h = random_qp(rng)
+        prob = QpProblem(P=P, c=c, G=G, h=h)
+        lp_started = solve_qp(prob)
+        ref = qp_bruteforce(P, c, G, h)
+        assert lp_started.optimal and ref is not None
+        np.testing.assert_allclose(lp_started.z, ref[0], rtol=0, atol=1e-9)
+        z0 = lp_started.start
+        assert (G @ z0 < h).all()  # random_qp's sets have an interior
+        for _ in range(3):
+            d = hints.normal(size=z0.size)
+            gd = G @ d
+            room = np.min((h - G @ z0)[gd > 0] / gd[gd > 0], initial=10.0)
+            hint = z0 + hints.uniform(0.0, 1.0) * room * d
+            sol = solve_qp(prob, start=hint)
+            np.testing.assert_array_equal(sol.start, hint)  # accepted as is
+            np.testing.assert_allclose(sol.z, lp_started.z, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sol.z, ref[0], rtol=0, atol=1e-9)
 
 
 def test_deterministic_resolve():
@@ -286,12 +313,16 @@ def test_input_box_respected(slab_cbf, slab_weights):
     assert abs(res.u_star[0]) <= 0.5 + 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_nonfinite_nominal_input_raises_nonfinite(hexagon_cbf, arm, bad):
-    asm = SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded())
-    with pytest.raises(NonFinite):
-        asm.solve(np.zeros(4), u_nom=np.array([bad, 0.0]))
+@pytest.mark.parametrize("bad, dt", [
+    pytest.param(np.nan, None, id="nan"), pytest.param(np.inf, None, id="inf"),
+    pytest.param(np.nan, 1e-3, id="nan-held"), pytest.param(np.inf, 1e-3, id="inf-held")])
+def test_nonfinite_nominal_input_raises_nonfinite(hexagon_cbf, arm, bad, dt):
+    # rejected before any arithmetic: no warning, and no plant call on it
+    asm = SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded(), dt=dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            asm.solve(np.zeros(4), u_nom=np.array([bad, 0.0]))
 
 
 def test_arm_fast_path_at_start(hexagon_cbf, arm, arm_nominal):
@@ -302,6 +333,32 @@ def test_arm_fast_path_at_start(hexagon_cbf, arm, arm_nominal):
     assert res.fast_path
     np.testing.assert_allclose(res.u_star, u_nom)
     assert (res.margins >= 0.0).all()
+
+
+def test_phase1_lp_runs_on_few_filter_steps(monkeypatch, hexagon, hexagon_cert,
+                                            arm, arm_nominal):
+    # each QP step starts from the last one's start point, which the rows'
+    # O(dt) motion mostly leaves feasible; only a lost hint costs a phase-1
+    # LP.  The first 0.5 s lose it in bursts (164 LPs on 501 QP steps), the
+    # 2 s run on 299 of 1,931 (1,897 before)
+    from polysafe import qp as pqp
+    from polysafe.sim import Scenario, simulate
+
+    calls = []
+    lp_solve = pqp.lp_solve
+
+    def counting(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(pqp, "lp_solve", counting)
+    cbf = build(hexagon, hexagon_cert, 0.1, 0.1 * hexagon_cert.delta / 2)
+    log = simulate(Scenario(cbf=cbf, plant=arm, mode="safeguarded", x0=np.zeros(4),
+                            t_final=2.0, dt=1e-3, nominal=arm_nominal,
+                            input_set=Unbounded()))
+    qp_steps = log.status.count("optimal")
+    assert qp_steps > 1500
+    assert 1 <= len(calls) <= qp_steps / 4  # the run's first QP step has no hint
 
 
 def test_margins_nonnegative_along_safeguarded_run(safeguarded_log,
