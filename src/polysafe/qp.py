@@ -81,15 +81,18 @@ def _feasible_start(G: np.ndarray, h: np.ndarray, hint):
     """(z, phase-1 LP solution) with G z <= h; z is None if the set is empty.
 
     A feasible hint is returned as is, with no LP solution.  Otherwise the
-    LP max t s.t. G z + t <= h, t <= 1 decides: the set is empty iff its
-    optimal t < 0, and then its dual is a Farkas certificate.
+    LP max t s.t. G z + t <= h, t <= max(1, max |h_i|) decides: the set is
+    empty iff its optimal t < 0, and then its dual is a Farkas certificate.
+    The cap scales with h, so the point scales with the problem, and on
+    the held filter, whose h holds 1/dt, it never binds: the point is a
+    max-min-slack one, central enough to stay feasible while rows move.
     """
     if hint is not None and (G @ hint <= h + 1e-11).all():
         return np.asarray(hint, dtype=float), None
     nz = G.shape[1]
     A = np.vstack([np.hstack([-G, -np.ones((G.shape[0], 1))]),
                    np.append(np.zeros(nz), -1.0)])
-    b = np.concatenate([-h, [-1.0]])
+    b = np.concatenate([-h, [-max(1.0, np.abs(h).max())]])
     c = np.append(np.zeros(nz), 1.0)
     sol = lp_solve(LpProblem(c=c, A=A, b=b))
     if not sol.optimal or sol.objective < -1e-10:
@@ -101,8 +104,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """Primal active-set method from a feasible point.
 
     The working set starts empty at the hint `start` if it is feasible,
-    else at the phase-1 LP's point, and the solution reports that point
-    as its `start`.  Rows are added/dropped with lowest-index
+    else at the phase-1 LP's max-min-slack point, and the solution reports
+    that point as its `start`.  Rows are added/dropped with lowest-index
     tie-breaking, which makes the solve deterministic.  Strict convexity
     makes the optimum unique, whatever the start.
 
@@ -324,10 +327,10 @@ class SafeguardAssembler:
         warm_start: consecutive calls along one trajectory.  The last QP
         step's start point, its accepted hint or phase-1 point, is the
         next one's hint: the phase-1 LP maximizes the smallest row slack,
-        capped at 1, so its point stays feasible while the rows move by
-        O(dt), whereas the optimum lies on rows that move off it.  With a
-        hold period the previous optimizer is the input the held step is
-        linearized at.
+        capped only at the scale of h, so its point stays feasible while
+        the rows move by O(dt), whereas the optimum lies on rows that move
+        off it.  With a hold period the previous optimizer is the input
+        the held step is linearized at.
         """
         w, m, dt = self.weights, self.m, self.dt
         rows = self.cbf.rows

@@ -62,6 +62,7 @@ class TrajectoryLog:
     h: np.ndarray
     alpha: np.ndarray
     M: np.ndarray
+    qp_iters: np.ndarray  # active-set iterations; 0 on fast and nominal steps
     status: list[str]
     solve_us: np.ndarray
 
@@ -75,14 +76,14 @@ class TrajectoryLog:
                 + [f"x1_{j + 1}" for j in range(n)]
                 + [f"x2_{j + 1}" for j in range(n)]
                 + [f"u_{j + 1}" for j in range(m)]
-                + ["B", "h", "alpha", "M", "status", "solve_us"])
+                + ["B", "h", "alpha", "M", "qp_iters", "status", "solve_us"])
         with open(path, "w") as f:
             f.write(",".join(cols) + "\n")
             for k in range(len(self.t)):
                 vals = [self.t[k], *self.x[k], *self.u[k], self.B[k], self.h[k],
                         self.alpha[k], self.M[k]]
                 f.write(",".join(format(v, ".17g") for v in vals)
-                        + f",{self.status[k]},{format(self.solve_us[k], '.17g')}\n")
+                        + f",{self.qp_iters[k]},{self.status[k]},{self.solve_us[k]:.17g}\n")
 
 
 def simulate(sc: Scenario) -> TrajectoryLog:
@@ -98,6 +99,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         H = np.zeros(npt)
         alpha = np.full(npt, np.nan)
         Mv = np.full(npt, np.nan)
+        qp_iters = np.zeros(npt, dtype=int)
         solve_us = np.zeros(npt)
     except (MemoryError, OverflowError, ValueError) as exc:
         raise UsageError(f"t_final / dt = {sc.t_final / sc.dt:.4g} steps are too "
@@ -129,6 +131,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
             u = res.u_star
             alpha[k] = res.alpha_star
             Mv[k] = res.M_star
+            qp_iters[k] = 0 if res.fast_path else res.solution.iterations
             status.append("fast" if res.fast_path else "optimal")
         else:
             B[k] = eval_B(sc.cbf, x).value
@@ -138,7 +141,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         if k < steps:
             x = rk4_step(sc.plant, u, x, sc.dt)
     return TrajectoryLog(t=t, x=X, u=U, B=B, h=H, alpha=alpha, M=Mv,
-                         status=status, solve_us=solve_us)
+                         qp_iters=qp_iters, status=status, solve_us=solve_us)
 
 
 @dataclass(frozen=True)

@@ -335,30 +335,76 @@ def test_arm_fast_path_at_start(hexagon_cbf, arm, arm_nominal):
     assert (res.margins >= 0.0).all()
 
 
-def test_phase1_lp_runs_on_few_filter_steps(monkeypatch, hexagon, hexagon_cert,
-                                            arm, arm_nominal):
-    # each QP step starts from the last one's start point, which the rows'
-    # O(dt) motion mostly leaves feasible; only a lost hint costs a phase-1
-    # LP.  The first 0.5 s lose it in bursts (164 LPs on 501 QP steps), the
-    # 2 s run on 299 of 1,931 (1,897 before)
+@pytest.fixture(scope="module")
+def phase1_loops(hexagon, hexagon_cert, arm, arm_nominal):
+    """The drift gate's 2 s loops: per gamma, the log, the phase-1 LP count
+    and the (G, h) of every filter QP."""
     from polysafe import qp as pqp
     from polysafe.sim import Scenario, simulate
 
-    calls = []
-    lp_solve = pqp.lp_solve
+    runs = {}
+    for gamma, epsilon in ((0.1, 0.1 * hexagon_cert.delta / 2), (10.0, 0.1)):
+        calls, qps = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pqp, "lp_solve", lambda p, f=pqp.lp_solve: calls.append(p) or f(p))
+            mp.setattr(pqp, "solve_qp", lambda p, start=None, f=pqp.solve_qp:
+                       qps.append((p.G, p.h)) or f(p, start=start))
+            log = simulate(Scenario(cbf=build(hexagon, hexagon_cert, gamma, epsilon),
+                                    plant=arm, mode="safeguarded", x0=np.zeros(4),
+                                    t_final=2.0, dt=1e-3, nominal=arm_nominal,
+                                    input_set=Unbounded()))
+        runs[gamma] = log, len(calls), qps
+    return runs
 
-    def counting(problem):
-        calls.append(problem)
-        return lp_solve(problem)
 
-    monkeypatch.setattr(pqp, "lp_solve", counting)
-    cbf = build(hexagon, hexagon_cert, 0.1, 0.1 * hexagon_cert.delta / 2)
-    log = simulate(Scenario(cbf=cbf, plant=arm, mode="safeguarded", x0=np.zeros(4),
-                            t_final=2.0, dt=1e-3, nominal=arm_nominal,
-                            input_set=Unbounded()))
-    qp_steps = log.status.count("optimal")
-    assert qp_steps > 1500
-    assert 1 <= len(calls) <= qp_steps / 4  # the run's first QP step has no hint
+def test_phase1_lp_runs_on_few_filter_steps(phase1_loops):
+    # each QP step starts from the last one's start point; the phase-1 LP's
+    # point is central (slack up to 480 in every row), so the rows' O(dt)
+    # motion rarely leaves it infeasible and only a lost hint costs an LP:
+    # 9 of 1,931 QP steps at gamma = 0.1 and 12 of 296 at 10 (299 and 168
+    # with the slack capped at 1; 1,897 at 0.1 with no carried start)
+    for gamma, min_steps, share in ((0.1, 1500, 50), (10.0, 250, 10)):
+        log, lp_calls, _ = phase1_loops[gamma]
+        qp_steps = log.status.count("optimal")
+        assert qp_steps > min_steps
+        # the run's first QP step has no hint
+        assert 1 <= lp_calls <= qp_steps / share, (gamma, lp_calls, qp_steps)
+
+
+def test_phase1_slack_cap_never_binds_on_the_held_filter(monkeypatch, phase1_loops):
+    # h holds 1/dt, and the rows alpha >= c_alpha, alpha <= 1/dt bound the
+    # smallest slack t by (1/dt - c_alpha) / 2, below the LP's cap on t
+    from polysafe import qp as pqp
+
+    problems = []
+    monkeypatch.setattr(pqp, "lp_solve",
+                        lambda p, f=pqp.lp_solve: problems.append(p) or f(p))
+    log, _, qps = phase1_loops[0.1]
+    assert len(qps) == log.status.count("optimal")
+    bound = (1e3 - QpWeights().c_alpha) / 2
+    for G, h in qps:
+        _, lp = pqp._feasible_start(G, h, None)
+        t, cap = lp.x[-1], -problems[-1].b[-1]  # the row -t >= -cap
+        assert 0.0 < t <= bound + 1e-9 < cap
+
+
+@pytest.mark.parametrize("scale", [10.0, 1e5])
+def test_phase1_point_scales_with_the_problem(scale):
+    # with max |h| >= 1 the slack cap max(1, max |h|) scales with h, so
+    # scaling (c, h) scales the phase-1 point; criterion 4's instances
+    rng = np.random.Generator(np.random.Philox(4))
+    checked = 0
+    for _ in range(500):
+        P, c, G, h = random_qp(rng)
+        if np.abs(h).max() < 1.0:
+            continue
+        ref = solve_qp(QpProblem(P=P, c=c, G=G, h=h))
+        sol = solve_qp(QpProblem(P=P, c=scale * c, G=G, h=scale * h))
+        # to round-off on the problem's own scale (6e-15 of max |h| seen)
+        np.testing.assert_allclose(sol.start / scale, ref.start, rtol=0,
+                                   atol=1e-12 * np.abs(h).max())
+        checked += 1
+    assert checked > 350  # 401 of the 500
 
 
 def test_margins_nonnegative_along_safeguarded_run(safeguarded_log,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from polysafe.cbf import eval_B, velocity_bound
+from polysafe.cbf import build, eval_B, velocity_bound
 from polysafe.errors import NonFinite, QpInfeasibleAt
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
+from polysafe.qp import SafeguardAssembler
 from polysafe.sim import Scenario, audit_invariance, rk4_step, simulate
 
 
@@ -83,7 +84,7 @@ def test_csv_export(tmp_path, hexagon_cbf, arm, arm_nominal):
     log.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("t,x1_1,x1_2,x2_1,x2_2,u_1,u_2,B,h,alpha,M,"
-                       "status,solve_us")
+                       "qp_iters,status,solve_us")
     assert len(lines) == len(log) + 1
     # 17-significant-digit rendering round-trips exactly
     row = lines[5].split(",")
@@ -118,6 +119,37 @@ def test_logged_B_is_eval_B_at_each_state(monkeypatch, hexagon_cbf, arm,
     assert len(calls) == sim_calls
     for x, B in zip(log.x, log.B):
         assert B == eval_B(hexagon_cbf, x).value
+
+
+@pytest.mark.parametrize("mode", ["safeguarded", "nominal"])
+def test_logged_qp_iters_leave_the_loop_unchanged(monkeypatch, hexagon, hexagon_cert,
+                                                  arm, arm_nominal, mode):
+    # the log holds the filter's iteration count on QP steps and 0 elsewhere;
+    # x, u and B are the filter's own results and the steps they drive
+    results = []
+    solve = SafeguardAssembler.solve
+
+    def recording(self, *args, **kwargs):
+        results.append(solve(self, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(SafeguardAssembler, "solve", recording)
+    cbf = build(hexagon, hexagon_cert, 0.1, 0.1 * hexagon_cert.delta / 2)
+    log = simulate(Scenario(cbf=cbf, plant=arm, mode=mode, x0=np.zeros(4),
+                            t_final=0.05, nominal=arm_nominal))
+    assert log.qp_iters.dtype.kind == "i" and log.qp_iters.shape == (51,)
+    for k in range(len(log) - 1):
+        assert (log.x[k + 1] == rk4_step(arm, log.u[k], log.x[k], 1e-3)).all()
+    if mode == "nominal":
+        assert not results and not log.qp_iters.any()
+        return
+    assert [r.fast_path for r in results] == [s == "fast" for s in log.status]
+    assert log.status.count("optimal") > 40
+    assert (log.u == [r.u_star for r in results]).all()
+    assert (log.B == [r.B for r in results]).all()
+    assert log.qp_iters.tolist() == [0 if r.fast_path else r.solution.iterations
+                                     for r in results]
+    assert (log.qp_iters[np.array(log.status) == "optimal"] >= 1).all()
 
 
 # --- runtime failure paths ----------------------------------------------------
