@@ -77,20 +77,22 @@ class QpSolution:
         return self.status == "optimal"
 
 
-def _feasible_start(G: np.ndarray, h: np.ndarray, hint):
+def _feasible_start(G: np.ndarray, h: np.ndarray, g_norm: np.ndarray, hint):
     """(z, phase-1 LP solution) with G z <= h; z is None if the set is empty.
 
     A feasible hint is returned as is, with no LP solution.  Otherwise the
-    LP max t s.t. G z + t <= h, t <= max(1, max |h_i|) decides: the set is
-    empty iff its optimal t < 0, and then its dual is a Farkas certificate.
-    The cap scales with h, so the point scales with the problem, and on
-    the held filter, whose h holds 1/dt, it never binds: the point is a
-    max-min-slack one, central enough to stay feasible while rows move.
+    LP max t s.t. g_i z + ||g_i|| t <= h_i, t <= max(1, max |h_i|) decides
+    (a zero row keeps the coefficient 1, so an empty set still has a dual):
+    the set is empty iff its optimal t < 0, and then its dual is a Farkas
+    certificate.  t is a distance, so the point is the Chebyshev center,
+    the center of the largest ball inside the rows, whatever their scale.
+    The cap scales with h, so the point scales with the problem; on the
+    held filter, whose h holds 1/dt, it never binds.
     """
     if hint is not None and (G @ hint <= h + 1e-11).all():
         return np.asarray(hint, dtype=float), None
     nz = G.shape[1]
-    A = np.vstack([np.hstack([-G, -np.ones((G.shape[0], 1))]),
+    A = np.vstack([np.column_stack([-G, -np.where(g_norm > 0.0, g_norm, 1.0)]),
                    np.append(np.zeros(nz), -1.0)])
     b = np.concatenate([-h, [-max(1.0, np.abs(h).max())]])
     c = np.append(np.zeros(nz), 1.0)
@@ -104,7 +106,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """Primal active-set method from a feasible point.
 
     The working set starts empty at the hint `start` if it is feasible,
-    else at the phase-1 LP's max-min-slack point, and the solution reports
+    else at the phase-1 LP's Chebyshev center, and the solution reports
     that point as its `start`.  Rows are added/dropped with lowest-index
     tie-breaking, which makes the solve deterministic.  Strict convexity
     makes the optimum unique, whatever the start.
@@ -117,8 +119,9 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
+    g_norm = np.linalg.norm(G, axis=1)
     if G.size:
-        z, phase1 = _feasible_start(G, h, start)
+        z, phase1 = _feasible_start(G, h, g_norm, start)
         if z is None:
             # Farkas-type certificate: y >= 0 with y @ G = 0, y @ h < 0
             return QpSolution(status="infeasible", farkas=(
@@ -127,7 +130,6 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         z = start if start is not None else np.zeros(nz)
     z0 = z
 
-    g_norm = np.linalg.norm(G, axis=1)
     K = np.zeros((nz + G.shape[0], nz + G.shape[0]))
     K[:nz, :nz] = P
     rhs = np.zeros(nz + G.shape[0])
@@ -326,11 +328,11 @@ class SafeguardAssembler:
 
         warm_start: consecutive calls along one trajectory.  The last QP
         step's start point, its accepted hint or phase-1 point, is the
-        next one's hint: the phase-1 LP maximizes the smallest row slack,
-        capped only at the scale of h, so its point stays feasible while
-        the rows move by O(dt), whereas the optimum lies on rows that move
-        off it.  With a hold period the previous optimizer is the input
-        the held step is linearized at.
+        next one's hint: the phase-1 point is the Chebyshev center of the
+        rows, as far from the nearest of them as any point, so it stays
+        feasible while the rows move by O(dt), whereas the optimum lies
+        on rows that move off it.  With a hold period the previous
+        optimizer is the input the held step is linearized at.
         """
         w, m, dt = self.weights, self.m, self.dt
         rows = self.cbf.rows

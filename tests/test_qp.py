@@ -62,6 +62,24 @@ def test_infeasible_detected(monkeypatch):
     assert y @ h < 0.0
 
 
+def test_zero_row_decides_feasibility_alone():
+    # a row 0 z <= b holds everywhere or nowhere: with b < 0 the set is empty
+    # and the certificate must still come out; with b >= 0 the row is idle
+    G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    P, c = np.diag([2.0, 2.0]), np.array([-6.0, -1.0])
+    sol = solve_qp(QpProblem(P=P, c=c, G=G, h=np.array([1.0, -1.0, 1.0])))
+    assert sol.status == "infeasible"
+    y = sol.farkas
+    assert y is not None and (y >= 0.0).all()
+    assert np.abs(y @ G).max() <= 1e-9
+    assert y @ np.array([1.0, -1.0, 1.0]) < 0.0
+    sol = solve_qp(QpProblem(P=P, c=c, G=G, h=np.array([1.0, 1.0, 1.0])))
+    ref = solve_qp(QpProblem(P=P, c=c, G=G[[0, 2]], h=np.array([1.0, 1.0])))
+    assert sol.optimal and ref.optimal
+    np.testing.assert_allclose(sol.z, ref.z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sol.z, [1.0, 0.5], rtol=0, atol=1e-12)
+
+
 def test_not_positive_definite_rejected():
     with pytest.raises(NotPositiveDefinite):
         QpProblem(P=np.array([[1.0, 2.0], [0.0, 1.0]]), c=np.zeros(2),
@@ -359,21 +377,21 @@ def phase1_loops(hexagon, hexagon_cert, arm, arm_nominal):
 
 def test_phase1_lp_runs_on_few_filter_steps(phase1_loops):
     # each QP step starts from the last one's start point; the phase-1 LP's
-    # point is central (slack up to 480 in every row), so the rows' O(dt)
-    # motion rarely leaves it infeasible and only a lost hint costs an LP:
-    # 9 of 1,931 QP steps at gamma = 0.1 and 12 of 296 at 10 (299 and 168
-    # with the slack capped at 1; 1,897 at 0.1 with no carried start)
-    for gamma, min_steps, share in ((0.1, 1500, 50), (10.0, 250, 10)):
+    # point is the rows' Chebyshev center (up to 480 from every row), so
+    # the rows' O(dt) motion rarely leaves it infeasible and only a lost
+    # hint costs an LP: 6 of 1,931 QP steps at gamma = 0.1 and 1 of 296 at
+    # 10, where a slack blind to row norms ran 9 and 12
+    for gamma, min_steps in ((0.1, 1500), (10.0, 250)):
         log, lp_calls, _ = phase1_loops[gamma]
         qp_steps = log.status.count("optimal")
         assert qp_steps > min_steps
         # the run's first QP step has no hint
-        assert 1 <= lp_calls <= qp_steps / share, (gamma, lp_calls, qp_steps)
+        assert 1 <= lp_calls <= qp_steps / 100, (gamma, lp_calls, qp_steps)
 
 
 def test_phase1_slack_cap_never_binds_on_the_held_filter(monkeypatch, phase1_loops):
-    # h holds 1/dt, and the rows alpha >= c_alpha, alpha <= 1/dt bound the
-    # smallest slack t by (1/dt - c_alpha) / 2, below the LP's cap on t
+    # h holds 1/dt, and the unit rows alpha >= c_alpha, alpha <= 1/dt bound
+    # the distance t from the rows by (1/dt - c_alpha) / 2, below the cap
     from polysafe import qp as pqp
 
     problems = []
@@ -383,7 +401,7 @@ def test_phase1_slack_cap_never_binds_on_the_held_filter(monkeypatch, phase1_loo
     assert len(qps) == log.status.count("optimal")
     bound = (1e3 - QpWeights().c_alpha) / 2
     for G, h in qps:
-        _, lp = pqp._feasible_start(G, h, None)
+        _, lp = pqp._feasible_start(G, h, np.linalg.norm(G, axis=1), None)
         t, cap = lp.x[-1], -problems[-1].b[-1]  # the row -t >= -cap
         assert 0.0 < t <= bound + 1e-9 < cap
 
@@ -405,6 +423,34 @@ def test_phase1_point_scales_with_the_problem(scale):
                                    atol=1e-12 * np.abs(h).max())
         checked += 1
     assert checked > 350  # 401 of the 500
+
+
+def test_phase1_radius_ignores_row_scaling():
+    # the phase-1 t is the radius of the largest ball inside the rows, so
+    # scaling a row (g_i, h_i) by s_i > 0 leaves t as it is, and the point
+    # is at least t from every row; criterion 4's instances
+    from polysafe import qp as pqp
+
+    def phase1(G, h):
+        z, lp = pqp._feasible_start(G, h, np.linalg.norm(G, axis=1), None)
+        t = lp.x[-1]
+        return z, t, t < max(1.0, np.abs(h).max()) - 1e-9  # the cap is idle
+
+    rng = np.random.Generator(np.random.Philox(4))
+    scales = np.random.Generator(np.random.Philox(43))
+    checked = 0
+    for _ in range(500):
+        _, _, G, h = random_qp(rng)
+        s = 10.0 ** scales.uniform(-3.0, 3.0, size=h.size)
+        _, t, free = phase1(G, h)
+        z, t_scaled, free_scaled = phase1(s[:, None] * G, s * h)
+        if not (free and free_scaled):
+            continue
+        assert t_scaled == pytest.approx(t, rel=1e-9, abs=0)
+        slack = (h - G @ z) / np.linalg.norm(G, axis=1)
+        assert slack.min() >= t - 1e-9
+        checked += 1
+    assert checked > 150  # 194 of the 500
 
 
 def test_margins_nonnegative_along_safeguarded_run(safeguarded_log,
