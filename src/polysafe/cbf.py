@@ -304,6 +304,8 @@ def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
     dominated by another term (B > 0 there) are rejected.  Deterministic
     under `seed`.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if count == 0:
         return np.zeros((0, 2 * cbf.n))
     rng = np.random.Generator(np.random.Philox(seed))

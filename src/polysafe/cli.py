@@ -39,7 +39,7 @@ from .plant import (
 )
 from .plots import SvgChart, term_vertices_2d
 from .polytope import SafetySpec, compute_cert
-from .qp import QpWeights
+from .qp import DT, QpWeights
 from .sim import Scenario, audit_invariance, simulate
 
 EXIT_OK = 0
@@ -173,7 +173,7 @@ def _load_scenario(path, seed_override=None) -> Scenario:
     with parsing("t_final"):
         t_final = float(raw.get("t_final", 10.0))
     with parsing("dt"):
-        dt = float(raw.get("dt", 1e-3))
+        dt = float(raw.get("dt", DT))
     with parsing("scenario"):
         return Scenario(
             cbf=cbf, plant=plant, mode=ctrl.get("mode", "safeguarded"),

@@ -27,6 +27,7 @@ from .plant import rk4_step
 
 _OPT_TOL = 1e-9
 _MAX_ITER = 200
+DT = 1e-3  # the default control period, s
 FEASIBILITY_MARGIN = 0.1  # the filter refuses states with B below -this
 
 
@@ -233,39 +234,40 @@ class SafeguardResult:
     M_star: float
     B: float  # barrier value at x, from eval_B
     margins: np.ndarray  # barrier-row values at the optimizer, one per (term, i)
-    row_labels: tuple[tuple[int, int], ...]  # (term, extended index)
     solution: QpSolution | None
     fast_path: bool
 
 
 class SafeguardAssembler:
-    """Reusable row assembly for one (cbf, plant, weights, input set) tuple.
+    """The safety filter of one (cbf, plant, weights, input set) tuple,
+    for an input held over the control period dt.
 
     Precomputes everything state-independent so the per-step work is a
     handful of small matrix products; used directly by the simulator.
 
-    With g_i the gradient of the affine B_i over x = (x1, x2), the row of
+    With g_i the gradient of the affine B_i over x = (x1, x2) and
+    Phi(x, u) = rk4_step(plant, u, x, dt) the held step, the row of
     (term ell, extended index i) reads
 
-        g_i @ rate(u) + alpha * B_i(x) + M * (B(x) - B^ell(x)) >= 0.
+        g_i @ (Phi(x, u) - x) / dt + alpha * B_i(x) + M * (B(x) - B^ell(x)) >= 0.
 
-    Without a hold period `dt`, rate(u) is the instantaneous xdot, so the
-    row bounds Bdot_i.  With one, rate(u) = (Phi(x, u) - x) / dt for the
-    held step Phi(x, u) = rk4_step(plant, u, x, dt).  B_i is affine, so the
-    row then bounds the change of B_i over the step: the maximizing term
-    gives B(x+) >= (1 - alpha dt) B(x), which keeps B >= 0 at the samples
-    of a sample-and-hold loop, not only as dt -> 0, while alpha dt <= 1:
-    the QP bounds alpha by 1/dt, and c_alpha dt > 1 is rejected.
-    The candidate u_nom is checked against the exact rate; the QP uses Phi
-    linearized in u at the previous optimizer (warm start) or at u_nom,
-    with its input sensitivity correct to second order in dt.
+    B_i is affine, so the row bounds the change of B_i over the step: the
+    maximizing term gives B(x+) >= (1 - alpha dt) B(x), which keeps B >= 0
+    at the samples of a sample-and-hold loop while alpha dt <= 1: the QP
+    bounds alpha by 1/dt, and c_alpha dt > 1 is rejected.  The candidate u_nom is checked
+    against the exact step; the QP uses Phi linearized in u at the last
+    call's input (at u_nom on the first call), with its input
+    sensitivity correct to second order in dt.
+
+    Consecutive solve calls follow one trajectory; a fresh assembler is
+    the one-shot filter.
     """
 
     def __init__(self, cbf: ExtendedCbf, plant, weights: QpWeights,
-                 input_set=None, dt: float | None = None):
-        if dt is not None and not dt > 0:
-            raise ValueError("dt must be positive")
-        if dt is not None and weights.c_alpha * dt > 1.0:
+                 input_set=None, dt: float = DT):
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if weights.c_alpha * dt > 1.0:
             raise ParameterViolation(
                 f"c_alpha * dt = {weights.c_alpha * dt:.6g} exceeds 1; the held "
                 "step keeps B >= 0 only while alpha * dt <= 1")
@@ -275,34 +277,27 @@ class SafeguardAssembler:
         self.input_set = input_set if input_set is not None else Unbounded()
         self.dt = dt
         self.m = m = plant.m
-        self.row_labels = tuple(zip(cbf.rows.row_term.tolist(), cbf.rows.ids))
+        self._Q = np.eye(m) if isinstance(weights.Q, str) else weights.Q
+        if self._Q.shape != (m, m):
+            raise ValueError(f"Q must be {m} x {m} for a plant with m = {m} "
+                             f"inputs, not {self._Q.shape[0]} x {self._Q.shape[1]}")
         self._Gu_rows, self._hu = self.input_set.rows(m)
         # the QP's rows G z <= h after the barrier rows: alpha >= c_alpha,
-        # M >= c_M, with a hold period alpha <= 1/dt, then the input set
-        bounds = [(m, -1.0, -weights.c_alpha), (m + 1, -1.0, -weights.c_M)]
-        if dt is not None:
-            bounds.append((m, 1.0, 1.0 / dt))
+        # M >= c_M, alpha <= 1/dt, then the input set
+        bounds = [(m, -1.0, -weights.c_alpha), (m + 1, -1.0, -weights.c_M),
+                  (m, 1.0, 1.0 / dt)]
         self._G_fixed = np.zeros((len(bounds) + len(self._hu), m + 2))
         for k, (j, g, _) in enumerate(bounds):
             self._G_fixed[k, j] = g
         self._G_fixed[len(bounds):, :m] = self._Gu_rows
         self._h_fixed = np.concatenate([[b for _, _, b in bounds], self._hu])
         # the Hessian diag(2 Q, 2 q_alpha, 2 q_M) is the same at every state
-        self._Q = np.eye(m) if isinstance(weights.Q, str) else weights.Q
         self._P = np.zeros((m + 2, m + 2))
         self._P[:m, :m] = 2.0 * self._Q
         self._P[m, m] = 2.0 * weights.q_alpha
         self._P[m + 1, m + 1] = 2.0 * weights.q_M
         self._P.setflags(write=False)
-        self._warm = self._start = None
-
-    def _instant_rate(self, x: np.ndarray):
-        """(d, S) with xdot(x, u) = d + S @ u."""
-        n = self.plant.n
-        x1, x2 = x[:n], x[n:]
-        G2 = np.atleast_2d(self.plant.G2(x1))
-        d = np.concatenate([x2, np.atleast_1d(self.plant.f2(x1, x2))])
-        return d, np.vstack([np.zeros((n, self.m)), G2])
+        self._u_last = self._start = None
 
     def _held_rate(self, x: np.ndarray, u_lin: np.ndarray):
         """(d, S) with (Phi(x, u) - x) / dt ~ d + S @ u near u_lin.
@@ -322,17 +317,16 @@ class SafeguardAssembler:
         S = np.vstack([0.5 * dt * G2, G2 + 0.5 * dt * jerk_u])
         return (x_lin - x) / dt - S @ u_lin, S
 
-    def solve(self, x: np.ndarray, u_nom: np.ndarray | None = None,
-              warm_start: bool = False) -> SafeguardResult:
-        """Filter u_nom (zero when None) at state x.
+    def solve(self, x: np.ndarray, u_nom: np.ndarray | None = None) -> SafeguardResult:
+        """Filter u_nom (zero when None) at state x, the next state along
+        the trajectory of the previous calls.
 
-        warm_start: consecutive calls along one trajectory.  The last QP
-        step's start point, its accepted hint or phase-1 point, is the
-        next one's hint: the phase-1 point is the Chebyshev center of the
-        rows, as far from the nearest of them as any point, so it stays
-        feasible while the rows move by O(dt), whereas the optimum lies
-        on rows that move off it.  With a hold period the previous
-        optimizer is the input the held step is linearized at.
+        The last call's input is the one the held step is linearized at,
+        and the last QP step's start point, its accepted hint or phase-1
+        point, is the next one's hint: the phase-1 point is the Chebyshev
+        center of the rows, as far from the nearest of them as any point,
+        so it stays feasible while the rows move by O(dt), whereas the
+        optimum lies on rows that move off it.
         """
         w, m, dt = self.weights, self.m, self.dt
         rows = self.cbf.rows
@@ -345,32 +339,26 @@ class SafeguardAssembler:
         Bi = act.row_values
         lift = act.value - act.per_term_min[rows.row_term]
         u_nom = np.zeros(m) if u_nom is None else np.array(u_nom, dtype=float, ndmin=1)
+        if u_nom.shape != (m,):
+            raise ValueError(f"nominal input must have m = {m} entries, "
+                             f"got shape {u_nom.shape}")
         # math.isfinite per entry costs a tenth of np.isfinite on a 2-vector
         if not all(map(math.isfinite, u_nom.tolist())):
             raise NonFinite("non-finite nominal input")
 
         # candidate: u unconstrained-optimal, alpha and M at their lower
         # bounds with positive multipliers; globally optimal if feasible
-        if dt is None:
-            d, S = self._instant_rate(x)
-            rate = d + S @ u_nom
-        else:
-            rate = (rk4_step(self.plant, u_nom, x, dt) - x) / dt
+        rate = (rk4_step(self.plant, u_nom, x, dt) - x) / dt
         margins = rows.A @ rate + w.c_alpha * Bi + w.c_M * lift
         # an input set with no rows admits every u, as in contains
         if margins.min() >= -1e-11 and (
                 not self._hu.size or (self._Gu_rows @ u_nom <= self._hu + 1e-11).all()):
-            z_cand = np.concatenate([u_nom, [w.c_alpha, w.c_M]])
-            if warm_start:
-                self._warm = z_cand
-            return SafeguardResult(u_star=z_cand[:m], alpha_star=float(w.c_alpha),
+            self._u_last = u_nom
+            return SafeguardResult(u_star=u_nom, alpha_star=float(w.c_alpha),
                                    M_star=float(w.c_M), B=act.value,
-                                   margins=margins, row_labels=self.row_labels,
-                                   solution=None, fast_path=True)
+                                   margins=margins, solution=None, fast_path=True)
 
-        if dt is not None:
-            warm = warm_start and self._warm is not None
-            d, S = self._held_rate(x, self._warm[:m] if warm else u_nom)
+        d, S = self._held_rate(x, u_nom if self._u_last is None else self._u_last)
         # rows coef @ z + const >= 0 over z = (u, alpha, M)
         coef = np.column_stack([rows.A @ S, Bi, lift])
         const = rows.A @ d
@@ -379,14 +367,12 @@ class SafeguardAssembler:
 
         c = np.concatenate([-2.0 * self._Q @ u_nom, [0.0, 0.0]])
         prob = QpProblem(P=self._P, c=c, G=G, h=h)
-        sol = solve_qp(prob, start=self._start if warm_start else None)
+        sol = solve_qp(prob, start=self._start)
         if not sol.optimal:
             raise Infeasible("safeguarding QP infeasible: the boundary safety "
                              "condition fails here or the input set is too small")
-        if warm_start:
-            self._warm, self._start = sol.z, sol.start
+        self._u_last, self._start = sol.z[:m], sol.start
         margins = coef @ sol.z + const
         return SafeguardResult(u_star=sol.z[:m], alpha_star=float(sol.z[m]),
                                M_star=float(sol.z[m + 1]), B=act.value,
-                               margins=margins, row_labels=self.row_labels,
-                               solution=sol, fast_path=False)
+                               margins=margins, solution=sol, fast_path=False)

@@ -18,7 +18,7 @@ from .cbf import ExtendedCbf, VelocityCert, eval_B, eval_B_many
 from .errors import Infeasible, NonFinite, QpInfeasibleAt, UsageError
 from .plant import PlantModel, rk4_step
 from .polytope import eval_h, eval_h_many
-from .qp import QpWeights, SafeguardAssembler
+from .qp import DT, QpWeights, SafeguardAssembler
 
 VIOLATION_TOL = 1e-6  # audit_invariance flags B < -this
 
@@ -32,7 +32,7 @@ class Scenario:
     mode: str  # "nominal" | "safeguarded"
     x0: np.ndarray
     t_final: float
-    dt: float = 1e-3
+    dt: float = DT
     nominal: Callable[[float, np.ndarray], np.ndarray] | None = None
     weights: QpWeights = field(default_factory=QpWeights)
     input_set: object = None
@@ -123,7 +123,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         if asm is not None:
             tic = time.perf_counter()
             try:
-                res = asm.solve(x, u_nom=u_nom, warm_start=True)
+                res = asm.solve(x, u_nom=u_nom)
             except Infeasible as exc:
                 raise QpInfeasibleAt(t[k], x, str(exc)) from exc
             solve_us[k] = (time.perf_counter() - tic) * 1e6

@@ -154,7 +154,7 @@ def rk4_step_reference(plant, u, x, dt):
 
 
 def safeguard(cbf, plant, weights, input_set, x, u_nom=None):
-    """One-shot filter solve at x, with no control period."""
+    """One-shot filter solve at x, on a fresh assembler at the default period."""
     from polysafe.qp import SafeguardAssembler
 
     asm = SafeguardAssembler(cbf, plant, weights, input_set)

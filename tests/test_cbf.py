@@ -258,6 +258,11 @@ def test_sample_boundary_zero_count(hexagon_cbf):
     assert sample_boundary(hexagon_cbf, 0, seed=1).shape == (0, 4)
 
 
+def test_sample_boundary_negative_count_raises(hexagon_cbf):
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_boundary(hexagon_cbf, -3, seed=1)
+
+
 # --- boundary safety condition ------------------------------------------------
 
 def test_condition_fully_actuated_arm(hexagon_cbf, arm):

@@ -17,12 +17,13 @@ from polysafe.inputs import Box, Unbounded
 from polysafe.plant import double_integrator
 from polysafe.polytope import compute_cert, slab_spec
 from polysafe.qp import (
+    DT,
     QpProblem,
     QpWeights,
     SafeguardAssembler,
     solve_qp,
 )
-from polysafe.sim import rk4_step
+from polysafe.sim import Scenario, rk4_step, simulate
 
 
 # --- core solver --------------------------------------------------------------
@@ -201,6 +202,13 @@ def test_weights_matrix_Q():
     assert QpWeights().Q == "identity"
 
 
+@pytest.mark.parametrize("Q", [[[1.0]], np.eye(3)], ids=["1x1", "3x3"])
+def test_Q_of_the_wrong_size_is_rejected(hexagon_cbf, arm, Q):
+    # a 1 x 1 Q would broadcast into a singular 2 x 2 input block
+    with pytest.raises(ValueError, match="m = 2"):
+        SafeguardAssembler(hexagon_cbf, arm, QpWeights(Q=Q), Unbounded())
+
+
 # --- safeguarding filter ------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -228,13 +236,15 @@ def test_interior_passthrough(slab_cbf, slab_weights):
 
 def test_boundary_clamps_outward_push(slab_cbf, slab_weights):
     # on the extended boundary (right face, inward-retracting velocity)
-    # the binding row reads -u + gamma * |x2| >= 0, so u <= 0.5 here
+    # the binding row reads -u + gamma * |x2| >= 0 in continuous time; over
+    # the held step, exact on the double integrator, it reads
+    # -(1 + dt/2) u + gamma * |x2| >= 0, so u <= 0.5 / (1 + dt/2) here
     plant = double_integrator(1)
     x = np.array([1.0, -0.5])
     res = safeguard(slab_cbf, plant, slab_weights, Unbounded(),
                     x=x, u_nom=np.array([5.0]))
     assert not res.fast_path
-    assert res.u_star[0] == pytest.approx(0.5, abs=1e-8)
+    assert res.u_star[0] == pytest.approx(0.5 / (1.0 + DT / 2), abs=1e-8)
     assert (res.margins >= -1e-8).all()
 
 
@@ -253,7 +263,7 @@ def test_held_step_rows_bound_B_at_the_next_sample(slab_cbf, slab_weights):
     # on the double integrator RK4 is exact for a held input and the step
     # is affine in u, so the held-step rows hold exactly over the step:
     # B(x+) >= (1 - alpha* dt) B(x) to round-off, at a dt large enough for
-    # the instantaneous rows to let the same step leave the safe set
+    # the continuous-time clamp to let the same step leave the safe set
     plant = double_integrator(1)
     dt = 0.05
     asm = SafeguardAssembler(slab_cbf, plant, slab_weights, Unbounded(), dt=dt)
@@ -267,10 +277,10 @@ def test_held_step_rows_bound_B_at_the_next_sample(slab_cbf, slab_weights):
             assert B1 >= (1.0 - res.alpha_star * dt) * B0 - 1e-12
     x = states[0]
     held = asm.solve(x, u_nom=np.array([5.0]))
-    instant = safeguard(slab_cbf, plant, slab_weights, Unbounded(), x=x,
-                        u_nom=np.array([5.0]))
     assert not held.fast_path
-    assert eval_B(slab_cbf, rk4_step(plant, instant.u_star, x, dt)).value < -1e-4
+    # the continuous-time clamp u = gamma |x2| of test_boundary_clamps_outward_push
+    u_instant = np.array([slab_cbf.gamma * abs(x[1])])
+    assert eval_B(slab_cbf, rk4_step(plant, u_instant, x, dt)).value < -1e-4
 
 
 def test_held_step_keeps_alpha_dt_at_most_one(slab_cbf):
@@ -331,16 +341,40 @@ def test_input_box_respected(slab_cbf, slab_weights):
     assert abs(res.u_star[0]) <= 0.5 + 1e-9
 
 
-@pytest.mark.parametrize("bad, dt", [
-    pytest.param(np.nan, None, id="nan"), pytest.param(np.inf, None, id="inf"),
-    pytest.param(np.nan, 1e-3, id="nan-held"), pytest.param(np.inf, 1e-3, id="inf-held")])
-def test_nonfinite_nominal_input_raises_nonfinite(hexagon_cbf, arm, bad, dt):
+@pytest.mark.parametrize("bad", [
+    pytest.param(np.nan, id="nan-held"), pytest.param(np.inf, id="inf-held")])
+def test_nonfinite_nominal_input_raises_nonfinite(hexagon_cbf, arm, bad):
     # rejected before any arithmetic: no warning, and no plant call on it
-    asm = SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded(), dt=dt)
+    asm = SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
             asm.solve(np.zeros(4), u_nom=np.array([bad, 0.0]))
+
+
+def test_nominal_input_of_the_wrong_size_raises(hexagon_cbf, arm):
+    # at rest in the hexagon a zero input takes the fast step and a large
+    # one the QP step; with one entry too few or too many neither is taken
+    x = np.zeros(4)
+    for u, fast in (([0.0, 0.0], True), ([1e4, 1e4], False)):
+        assert safeguard(hexagon_cbf, arm, QpWeights(), Unbounded(), x=x,
+                         u_nom=np.array(u)).fast_path is fast
+        for bad in (u[:1], u + [0.0]):
+            with pytest.raises(ValueError, match="m = 2"):
+                safeguard(hexagon_cbf, arm, QpWeights(), Unbounded(), x=x,
+                          u_nom=np.array(bad))
+    for bad in ([0.0], [0.0, 0.0, 0.0]):
+        sc = Scenario(cbf=hexagon_cbf, plant=arm, mode="safeguarded", x0=x,
+                      t_final=0.01, nominal=lambda t, x, u=np.array(bad): u,
+                      input_set=Unbounded())
+        with pytest.raises(ValueError, match="m = 2"):
+            simulate(sc)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1e-3])
+def test_period_must_be_positive_and_finite(hexagon_cbf, arm, dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SafeguardAssembler(hexagon_cbf, arm, QpWeights(), Unbounded(), dt=dt)
 
 
 def test_arm_fast_path_at_start(hexagon_cbf, arm, arm_nominal):
