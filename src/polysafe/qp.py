@@ -34,7 +34,8 @@ FEASIBILITY_MARGIN = 0.1  # the filter refuses states with B below -this
 @dataclass(frozen=True)
 class QpProblem:
     """min 0.5 z @ P @ z + c @ z  s.t.  G @ z <= h, with P symmetric PD and
-    every entry finite."""
+    every entry finite.  `_over` takes a P validated here before, such as
+    the filter's constant one, and checks only that c, G and h are finite."""
 
     P: np.ndarray
     c: np.ndarray
@@ -57,8 +58,15 @@ class QpProblem:
                 np.linalg.cholesky(P)
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite("cost matrix failed Cholesky") from exc
-        for name, arr in (("P", P), ("c", c), ("G", G), ("h", h)):
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(P=P, c=c, G=G, h=h)  # past the frozen __setattr__
+
+    @classmethod
+    def _over(cls, P, c, G, h):  # c, G and h: float arrays of matching shapes
+        if not (np.isfinite(c).all() and np.isfinite(G).all() and np.isfinite(h).all()):
+            raise NonFinite("non-finite entries in the QP data")
+        p = object.__new__(cls)
+        p.__dict__.update(P=P, c=c, G=G, h=h)
+        return p
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
-    g_norm = np.linalg.norm(G, axis=1)
+    g_norm = np.sqrt(np.add.reduce(G * G, axis=1))  # np.linalg.norm's formula
     if G.size:
         z, phase1 = _feasible_start(G, h, g_norm, start)
         if z is None:
@@ -146,9 +154,9 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
             sol, *_ = np.linalg.lstsq(K[:k, :k], rhs[:k], rcond=None)
         step_p = sol[:nz]
         lam_w = sol[nz:]
-        p_norm = np.linalg.norm(step_p)
+        p_norm = math.sqrt(step_p @ step_p)  # the same formula for a vector
         # with nz independent working rows p is zero but for round-off
-        if len(work) == nz or p_norm <= 1e-11 * max(1.0, np.linalg.norm(z)):
+        if len(work) == nz or p_norm <= 1e-11 * max(1.0, math.sqrt(z @ z)):
             if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
                 break
             worst = int(np.argmin(lam_w))
@@ -163,8 +171,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         if G.size:
             gp = G @ step_p
             rising = (gp > 1e-12 * g_norm * p_norm) & ~in_work
-            ratio = np.full(G.shape[0], np.inf)
-            ratio[rising] = np.maximum(h[rising] - G[rising] @ z, 0.0) / gp[rising]
+            ratio = np.divide(np.maximum(h - G @ z, 0.0), gp, where=rising,
+                              out=np.full(G.shape[0], np.inf))
             shortest = ratio.min()
             if shortest < 1.0 - 1e-12:
                 blocker = int(np.argmax(ratio <= shortest + 1e-12))
@@ -185,7 +193,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     primal = float(np.maximum(G @ z - h, 0.0).max()) if G.size else 0.0
     comp = float(np.abs(lam * (G @ z - h)).max()) if G.size else 0.0
     residuals = {
-        "stationarity": float(np.linalg.norm(grad, np.inf)),
+        "stationarity": float(np.abs(grad).max()),
         "primal": primal,
         "complementarity": comp,
     }
@@ -242,8 +250,9 @@ class SafeguardAssembler:
     """The safety filter of one (cbf, plant, weights, input set) tuple,
     for an input held over the control period dt.
 
-    Precomputes everything state-independent so the per-step work is a
-    handful of small matrix products; used directly by the simulator.
+    Precomputes everything state-independent, and validates the QP's
+    constant P once, so the per-step work is a handful of small matrix
+    products and a finiteness check of the QP's c, G and h.
 
     With g_i the gradient of the affine B_i over x = (x1, x2) and
     Phi(x, u) = rk4_step(plant, u, x, dt) the held step, the row of
@@ -291,12 +300,13 @@ class SafeguardAssembler:
             self._G_fixed[k, j] = g
         self._G_fixed[len(bounds):, :m] = self._Gu_rows
         self._h_fixed = np.concatenate([[b for _, _, b in bounds], self._hu])
-        # the Hessian diag(2 Q, 2 q_alpha, 2 q_M) is the same at every state
+        # the Hessian diag(2 Q, 2 q_alpha, 2 q_M), the same at every state, checked once
         self._P = np.zeros((m + 2, m + 2))
         self._P[:m, :m] = 2.0 * self._Q
         self._P[m, m] = 2.0 * weights.q_alpha
         self._P[m + 1, m + 1] = 2.0 * weights.q_M
         self._P.setflags(write=False)
+        QpProblem(P=self._P, c=np.zeros(m + 2), G=self._G_fixed, h=self._h_fixed)
         self._u_last = self._start = None
 
     def _held_rate(self, x: np.ndarray, u_lin: np.ndarray):
@@ -359,20 +369,22 @@ class SafeguardAssembler:
                                    margins=margins, solution=None, fast_path=True)
 
         d, S = self._held_rate(x, u_nom if self._u_last is None else self._u_last)
-        # rows coef @ z + const >= 0 over z = (u, alpha, M)
-        coef = np.column_stack([rows.A @ S, Bi, lift])
-        const = rows.A @ d
-        G = np.vstack([-coef, self._G_fixed])
-        h = np.concatenate([const, self._h_fixed])
-
+        # barrier rows h_b - G_b @ z >= 0 over z = (u, alpha, M), then the
+        # fixed rows, in fresh arrays, as a caller may keep each step's rows
+        nb = Bi.size
+        G = np.empty((nb + self._h_fixed.size, m + 2))
+        h = np.empty(G.shape[0])
+        np.negative(rows.A @ S, out=G[:nb, :m])
+        G[:nb, m], G[:nb, m + 1], G[nb:] = -Bi, -lift, self._G_fixed
+        np.matmul(rows.A, d, out=h[:nb])
+        h[nb:] = self._h_fixed
         c = np.concatenate([-2.0 * self._Q @ u_nom, [0.0, 0.0]])
-        prob = QpProblem(P=self._P, c=c, G=G, h=h)
-        sol = solve_qp(prob, start=self._start)
+        sol = solve_qp(QpProblem._over(self._P, c, G, h), start=self._start)
         if not sol.optimal:
             raise Infeasible("safeguarding QP infeasible: the boundary safety "
                              "condition fails here or the input set is too small")
         self._u_last, self._start = sol.z[:m], sol.start
-        margins = coef @ sol.z + const
+        margins = h[:nb] - G[:nb] @ sol.z
         return SafeguardResult(u_star=sol.z[:m], alpha_star=float(sol.z[m]),
                                M_star=float(sol.z[m + 1]), B=act.value,
                                margins=margins, solution=sol, fast_path=False)

@@ -136,6 +136,9 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         else:
             B[k] = eval_B(sc.cbf, x).value
             u = np.atleast_1d(u_nom)
+            if u.shape != (m,):
+                raise ValueError(f"nominal input must have m = {m} entries, "
+                                 f"got shape {u.shape}")
             status.append("nominal")
         U[k] = u
         if k < steps:

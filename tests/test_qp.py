@@ -1,5 +1,6 @@
 """QP solver oracle equivalence and safeguarding controller behavior."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -363,12 +364,27 @@ def test_nominal_input_of_the_wrong_size_raises(hexagon_cbf, arm):
             with pytest.raises(ValueError, match="m = 2"):
                 safeguard(hexagon_cbf, arm, QpWeights(), Unbounded(), x=x,
                           u_nom=np.array(bad))
-    for bad in ([0.0], [0.0, 0.0, 0.0]):
-        sc = Scenario(cbf=hexagon_cbf, plant=arm, mode="safeguarded", x0=x,
-                      t_final=0.01, nominal=lambda t, x, u=np.array(bad): u,
-                      input_set=Unbounded())
-        with pytest.raises(ValueError, match="m = 2"):
-            simulate(sc)
+    # in nominal mode, with no filter, simulate checks the size itself
+    for mode in ("safeguarded", "nominal"):
+        for bad in ([0.0], [0.0, 0.0, 0.0]):
+            sc = Scenario(cbf=hexagon_cbf, plant=arm, mode=mode, x0=x,
+                          t_final=0.01, nominal=lambda t, x, u=np.array(bad): u,
+                          input_set=Unbounded())
+            with pytest.raises(ValueError, match="m = 2"):
+                simulate(sc)
+
+
+@pytest.mark.parametrize("field", ["G2", "f2"])
+def test_nonfinite_plant_on_the_qp_step_raises_nonfinite(hexagon_cbf, arm, field):
+    # the arm's accel keeps the exact step finite, so the large input fails
+    # the fast step and the NaN reaches the QP's rows through the held step's
+    # sensitivity, which reads G2 and f2; the assembler checks c, G and h
+    nan = {"G2": lambda x1: np.full((2, 2), np.nan),
+           "f2": lambda x1, x2: np.full(2, np.nan)}[field]
+    plant = dataclasses.replace(arm, **{field: nan})
+    asm = SafeguardAssembler(hexagon_cbf, plant, QpWeights(), Unbounded())
+    with pytest.raises(NonFinite, match="non-finite entries in the QP data"):
+        asm.solve(np.zeros(4), u_nom=np.array([1e4, 1e4]))
 
 
 @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1e-3])
@@ -438,6 +454,21 @@ def test_phase1_slack_cap_never_binds_on_the_held_filter(monkeypatch, phase1_loo
         _, lp = pqp._feasible_start(G, h, np.linalg.norm(G, axis=1), None)
         t, cap = lp.x[-1], -problems[-1].b[-1]  # the row -t >= -cap
         assert 0.0 < t <= bound + 1e-9 < cap
+
+
+def test_filter_qps_own_their_rows(phase1_loops):
+    # each QP step writes its rows into fresh arrays; one buffer reused
+    # across steps would turn every recorded (G, h) into the last step's,
+    # and the tests above would check one problem many times over
+    for gamma in (0.1, 10.0):
+        _, _, qps = phase1_loops[gamma]
+        for arrays in zip(*qps):  # every G, then every h
+            assert all(a.flags.c_contiguous for a in arrays)
+            assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+            # contiguous blocks, so sorted extents that never overlap mean
+            # no two arrays share a byte
+            spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+            assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 @pytest.mark.parametrize("scale", [10.0, 1e5])
