@@ -21,6 +21,8 @@ from .errors import (
     NotRightInvertible,
     ParameterViolation,
     PolysafeError,
+    integer,
+    real,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
 from .polytope import GeometryCert, SafetySpec, TermRows, extents, max_min
@@ -200,15 +202,16 @@ def cbf_from_dict(d: dict) -> ExtendedCbf:
     """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire)."""
     spec = SafetySpec.from_dict(d)
     witnesses = {
-        frozenset(i - 1 for i in e["indices"]): np.array(e["y"], dtype=float)
+        frozenset(integer(i, "indices") - 1 for i in e["indices"]): real(e["y"], "y")
         for e in d["cert"]["witnesses"]
     }
     cert = GeometryCert(
         s_cap=tuple(sorted(witnesses, key=lambda I: (len(I), sorted(I)))),
         witnesses=witnesses,
-        delta=float(d["cert"]["delta"]),
+        delta=real(d["cert"]["delta"], "delta"),
     )
-    return build(spec, cert, float(d["cbf"]["gamma"]), float(d["cbf"]["epsilon"]))
+    return build(spec, cert, real(d["cbf"]["gamma"], "gamma"),
+                 real(d["cbf"]["epsilon"], "epsilon"))
 
 
 def eval_B(cbf: ExtendedCbf, x: np.ndarray) -> ActiveSet:

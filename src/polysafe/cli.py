@@ -26,7 +26,7 @@ from .cbf import (
     velocity_bound,
     verify_safety_condition,
 )
-from .errors import PolysafeError, UsageError, ValidationError, integer, parsing
+from .errors import PolysafeError, UsageError, ValidationError, integer, parsing, real
 from .inputs import input_set_from_dict
 from .plant import (
     ArmParams,
@@ -120,8 +120,8 @@ def _plant_from_config(cfg: dict, n: int):
         if not isinstance(gravity, bool):
             raise ValueError(f"'gravity' must be true or false, not {gravity!r}")
         params = ArmParams(
-            m1=float(cfg.get("m1", 1.0)), m2=float(cfg.get("m2", 1.0)),
-            l1=float(cfg.get("l1", 1.0)), l2=float(cfg.get("l2", 1.0)),
+            m1=real(cfg.get("m1", 1.0), "m1"), m2=real(cfg.get("m2", 1.0), "m2"),
+            l1=real(cfg.get("l1", 1.0), "l1"), l2=real(cfg.get("l2", 1.0), "l2"),
             gravity=gravity,
         )
         return two_link_arm(params), params
@@ -142,7 +142,8 @@ def _nominal_from_config(cfg: dict, params):
         if params is None:
             raise UsageError("tracking nominal controller requires the arm plant")
         with parsing("controller.reference"):
-            ref = SineReference(**cfg.get("reference", {}))
+            ref = SineReference(**{k: real(v, k)
+                                   for k, v in cfg.get("reference", {}).items()})
         return nominal_tracking(params, ref)
     raise UsageError(f"unknown nominal controller {kind!r}")
 
@@ -156,24 +157,25 @@ def _load_scenario(path, seed_override=None) -> Scenario:
         cbf_cfg = _known_keys(raw.get("cbf", {}), _CBF_KEYS)
     with parsing("cbf.witness"):
         y = cbf_cfg.get("witness")
-        witness = None if y is None else np.array(y, dtype=float).reshape(spec.n)
+        witness = None if y is None else np.reshape(real(y, "witness"), spec.n)
     cert = compute_cert(spec, overrides=witness)
     with parsing("cbf"):
-        cbf = build(spec, cert, float(cbf_cfg.get("gamma", 1.0)),
-                    float(cbf_cfg.get("epsilon", cert.delta / 2)))
+        cbf = build(spec, cert, real(cbf_cfg.get("gamma", 1.0), "gamma"),
+                    real(cbf_cfg.get("epsilon", cert.delta / 2), "epsilon"))
     plant, params = _plant_from_config(raw.get("plant", {}), spec.n)
     ctrl = _controller_config(raw)
     with parsing("controller.weights"):
-        weights = QpWeights(**ctrl.get("weights", {}))
+        weights = QpWeights(**{k: v if k == "Q" and isinstance(v, str) else real(v, k)
+                               for k, v in ctrl.get("weights", {}).items()})
         if not isinstance(weights.Q, str) and weights.Q.shape != (plant.m, plant.m):
             raise ValueError(f"Q must be {plant.m} x {plant.m}")
     input_set = _input_set_from_config(ctrl, plant.m)
     with parsing("initial_state"):
-        x0 = np.array(raw.get("initial_state", [0.0] * (2 * spec.n)), dtype=float)
+        x0 = real(raw.get("initial_state", [0.0] * (2 * spec.n)), "initial_state")
     with parsing("t_final"):
-        t_final = float(raw.get("t_final", 10.0))
+        t_final = real(raw.get("t_final", 10.0), "t_final")
     with parsing("dt"):
-        dt = float(raw.get("dt", DT))
+        dt = real(raw.get("dt", DT), "dt")
     with parsing("scenario"):
         return Scenario(
             cbf=cbf, plant=plant, mode=ctrl.get("mode", "safeguarded"),

@@ -10,6 +10,8 @@ malformed input or argument 64.
 import contextlib
 import numbers
 
+import numpy as np
+
 
 class PolysafeError(Exception):
     """Base class for all package-specific errors."""
@@ -129,3 +131,18 @@ def integer(value, name: str) -> int:
             or not float(value).is_integer()):
         raise ValueError(f"{name!r} must be an integer, not {value!r}")
     return int(value)
+
+
+def real(value, name: str):
+    """`value` as a float, or a JSON list of numbers (or of equal-length
+    lists of them) as a float array.
+
+    A bool or a string, alone or inside a list, raises ValueError naming
+    `name`, as `integer` does: float() and numpy would read `"10"` as 10.0
+    and `true` as 1.0.
+    """
+    entries = np.asarray(value, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in entries.reshape(-1)):
+        raise ValueError(f"{name!r} must be a number or a list of numbers, not {value!r}")
+    return entries.astype(float) if entries.ndim else float(value)

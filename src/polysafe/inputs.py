@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import integer
+from .errors import integer, real
 
 
 class _Polyhedral:
@@ -93,5 +93,5 @@ def input_set_from_dict(d: dict):
     if kind == "unbounded":
         return Unbounded()
     if kind == "box":
-        return Box(np.array(d["limits"], dtype=float))
-    return PolytopicBall(float(d["d"]), integer(d.get("facets", 16), "facets"))
+        return Box(real(d["limits"], "limits"))
+    return PolytopicBall(real(d["d"], "d"), integer(d.get("facets", 16), "facets"))

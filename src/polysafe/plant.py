@@ -58,6 +58,9 @@ def rk4_step(plant: PlantModel, u: np.ndarray, x: np.ndarray,
 
     One plant call per stage (plant.accel, else f2 + G2 @ u); the stage
     arithmetic runs elementwise on Python floats, in the order of arrays.
+    A two-joint state (n = 2) runs the same operations in the same order
+    as straight-line scalar code, so both paths give equal bits; the loop
+    over stage lists is the path for every other n.
     """
     n, h, u = plant.n, 0.5 * dt, np.asarray(u, dtype=float)
     accel = plant.accel
@@ -69,6 +72,20 @@ def rk4_step(plant: PlantModel, u: np.ndarray, x: np.ndarray,
             return (f2(x1, np.array(x2)) + G2(x1) @ u).tolist()
 
     us, xs = u.tolist(), np.asarray(x, dtype=float).tolist()
+    if n == 2:   # k1 = (v, a), k2 = (b, c), k3 = (d, e), k4 = (f, g)
+        p0, p1, v0, v1 = xs
+        a0, a1 = accel([p0, p1], [v0, v1], us)
+        b0, b1 = v0 + h * a0, v1 + h * a1
+        c0, c1 = accel([p0 + h * v0, p1 + h * v1], [b0, b1], us)
+        d0, d1 = v0 + h * c0, v1 + h * c1
+        e0, e1 = accel([p0 + h * b0, p1 + h * b1], [d0, d1], us)
+        f0, f1 = v0 + dt * e0, v1 + dt * e1
+        g0, g1 = accel([p0 + dt * d0, p1 + dt * d1], [f0, f1], us)
+        w = dt / 6.0
+        return np.array([p0 + w * (v0 + 2 * b0 + 2 * d0 + f0),
+                         p1 + w * (v1 + 2 * b1 + 2 * d1 + f1),
+                         v0 + w * (a0 + 2 * c0 + 2 * e0 + g0),
+                         v1 + w * (a1 + 2 * c1 + 2 * e1 + g1)])
     k1 = xs[n:] + accel(xs[:n], xs[n:], us)
     s = [a + h * b for a, b in zip(xs, k1)]
     k2 = s[n:] + accel(s[:n], s[n:], us)

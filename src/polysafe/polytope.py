@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     integer,
     parsing,
+    real,
 )
 from .lp import LpProblem, lp_solve, lp_feasible_point
 
@@ -171,7 +172,7 @@ class SafetySpec:
             raise ValidationError(f"spec must be a JSON object, not {type(d).__name__}")
 
         with parsing("spec field 'halfspaces'", ValidationError):
-            hs = tuple(HalfSpace(np.array(e["a"], dtype=float), float(e["b"]))
+            hs = tuple(HalfSpace(real(e["a"], "a"), real(e["b"], "b"))
                        for e in d["halfspaces"])
         with parsing("spec field 'terms'", ValidationError):
             terms = tuple(tuple(integer(i, "terms") - 1 for i in t)

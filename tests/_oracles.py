@@ -153,6 +153,31 @@ def rk4_step_reference(plant, u, x, dt):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def rk4_step_stage_loop(plant, u, x, dt):
+    """rk4_step's loop over stage lists, the same for every n: each stage's
+    arithmetic elementwise on Python floats, one plant call per stage."""
+    n, h, u = plant.n, 0.5 * dt, np.asarray(u, dtype=float)
+    accel = plant.accel
+    if accel is None:
+        f2, G2 = plant.f2, plant.G2
+
+        def accel(x1, x2, _):
+            x1 = np.array(x1)
+            return (f2(x1, np.array(x2)) + G2(x1) @ u).tolist()
+
+    us, xs = u.tolist(), np.asarray(x, dtype=float).tolist()
+    k1 = xs[n:] + accel(xs[:n], xs[n:], us)
+    s = [a + h * b for a, b in zip(xs, k1)]
+    k2 = s[n:] + accel(s[:n], s[n:], us)
+    s = [a + h * b for a, b in zip(xs, k2)]
+    k3 = s[n:] + accel(s[:n], s[n:], us)
+    s = [a + dt * b for a, b in zip(xs, k3)]
+    k4 = s[n:] + accel(s[:n], s[n:], us)
+    w = dt / 6.0
+    return np.array([a + w * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(xs, k1, k2, k3, k4)])
+
+
 def safeguard(cbf, plant, weights, input_set, x, u_nom=None):
     """One-shot filter solve at x, on a fresh assembler at the default period."""
     from polysafe.qp import SafeguardAssembler

@@ -443,11 +443,89 @@ _NAN, _INF = float("nan"), float("inf")
                  "'n'", id="plant-n-fraction"),
     pytest.param(_simulate_with(seed=1.5), "seed", id="seed-fraction"),
     pytest.param(_simulate_with(seed=True), "seed", id="seed-bool"),
+    # a JSON string or boolean in a numeric field, which float() would read
+    pytest.param(_simulate_with(t_final="0.02"), "'t_final'", id="t_final-number-text"),
+    pytest.param(_simulate_with(dt="0.001"), "'dt'", id="dt-number-text"),
+    pytest.param(_simulate_with(cbf={"gamma": "10", "epsilon": 0.1}), "'gamma'",
+                 id="gamma-text"),
+    pytest.param(_simulate_with(cbf={"gamma": 10, "epsilon": True}), "'epsilon'",
+                 id="epsilon-bool"),
+    pytest.param(_simulate_with(cbf={"gamma": 10, "epsilon": 0.1, "witness": [True, 0]}),
+                 "'witness'", id="witness-bool"),
+    pytest.param(_simulate_with(plant={"type": "two_link_arm", "m1": "1"}), "'m1'",
+                 id="m1-text"),
+    pytest.param(_simulate_with(initial_state=["0", "0", "0", "0"]), "'initial_state'",
+                 id="initial_state-number-text"),
+    pytest.param(_simulate_with(**_controller(input_set={"type": "ball", "d": True})),
+                 "'d'", id="ball-bool"),
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "box", "limits": [True, True]})), "'limits'", id="box-bool"),
+    pytest.param(_simulate_with(**_controller(weights={"q_alpha": True})), "'q_alpha'",
+                 id="q_alpha-bool"),
+    pytest.param(_simulate_with(**_controller(weights={"Q": [[True, 0], [0, 1]]})),
+                 "'Q'", id="Q-bool"),
+    pytest.param(_simulate_with(**_controller(reference={"amplitudes": ["1", "2"]})),
+                 "'amplitudes'", id="amplitudes-number-text"),
 ])
 def test_malformed_input_exits_64_naming_field(tmp_path, specfile, capsys, argv,
                                                 field):
     assert main(argv(tmp_path, specfile)) == 64
     assert field in capsys.readouterr().err
+
+
+def _construct_slab(**first):
+    """construct on the slab -1 <= x <= 1, its first half-space's fields replaced."""
+    def argv(tmp_path, specfile):
+        spec = {"n": 1, "halfspaces": [{"a": [1.0], "b": 1.0, **first},
+                                       {"a": [-1.0], "b": 1.0}], "terms": [[1, 2]]}
+        path = tmp_path / "slab.json"
+        path.write_text(json.dumps(spec))
+        return ["construct", str(path), "--gamma", "1", "--epsilon", "0.1",
+                "--out", str(tmp_path)]
+    return argv
+
+
+def _verify_edited(edit):
+    """verify on the hexagon's barrier file, after edit(barrier) changed a field."""
+    def argv(tmp_path, specfile):
+        out = tmp_path / "out"
+        assert main(["construct", str(specfile), "--gamma", "10", "--epsilon", "0.1",
+                     "--witness", "0,0", "--out", str(out)]) == 0
+        barrier = json.loads((out / "cbf.json").read_text())
+        edit(barrier)
+        (out / "cbf.json").write_text(json.dumps(barrier))
+        return ["verify", str(out / "cbf.json"), str(_scenario(tmp_path, specfile)),
+                "--samples", "5", "--out", str(tmp_path)]
+    return argv
+
+
+def _set(*path, value):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(_construct_slab(b="0.5"), "'b'", id="spec-b-text"),
+    pytest.param(_construct_slab(a=[True]), "'a'", id="spec-a-bool"),
+    pytest.param(_verify_edited(_set("cbf", "gamma", value="10")), "'gamma'",
+                 id="barrier-gamma-text"),
+    pytest.param(_verify_edited(_set("cert", "delta", value=True)), "'delta'",
+                 id="barrier-delta-bool"),
+    pytest.param(_verify_edited(_set("cert", "witnesses", 0, "y", value=["0", "0"])),
+                 "'y'", id="barrier-witness-text"),
+    pytest.param(_verify_edited(_set("cert", "witnesses", 0, "indices", value=[True])),
+                 "'indices'", id="barrier-indices-bool"),
+])
+def test_json_bool_or_string_in_a_spec_or_barrier_field_exits_3(tmp_path, specfile,
+                                                                capsys, argv, field):
+    # float() and numpy read "10" as 10.0 and true as 1.0
+    assert main(argv(tmp_path, specfile)) == 3
+    err = capsys.readouterr().err
+    assert field in err
+    assert "must be a number" in err or "must be an integer" in err
 
 
 # the documented exit code of every exported error class; 4 belongs to the

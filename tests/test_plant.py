@@ -5,7 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import rk4_step_reference, sample_safe_positions, scan_grid_pointwise
+from _oracles import (
+    rk4_step_reference,
+    rk4_step_stage_loop,
+    sample_safe_positions,
+    scan_grid_pointwise,
+)
 from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
 from polysafe.errors import InsufficientActuation, NoSplit, ValidationError
@@ -121,6 +126,12 @@ def _custom_plant():
                       G2=lambda x1: np.array([[2.0 + np.cos(x1[1]), 0.3], [x1[0], 1.5]]))
 
 
+_EVERY_PLANT = pytest.mark.parametrize("plant", [
+    two_link_arm(ArmParams()), two_link_arm(ArmParams(gravity=True)),
+    double_integrator(1), double_integrator(2), double_integrator(3), _custom_plant(),
+], ids=["arm", "gravity_arm", "di1", "di2", "di3", "custom"])
+
+
 @pytest.mark.parametrize("gravity", [False, True])
 def test_arm_accel_is_f2_plus_G2u(gravity):
     arm = two_link_arm(ArmParams(gravity=gravity))
@@ -130,10 +141,7 @@ def test_arm_accel_is_f2_plus_G2u(gravity):
         assert np.abs(got - (f2 + G2u)).max() <= 1e-13 * np.abs([f2, G2u]).max()
 
 
-@pytest.mark.parametrize("plant", [
-    two_link_arm(ArmParams()), two_link_arm(ArmParams(gravity=True)),
-    double_integrator(1), double_integrator(2), double_integrator(3), _custom_plant(),
-], ids=["arm", "gravity_arm", "di1", "di2", "di3", "custom"])
+@_EVERY_PLANT
 def test_rk4_step_matches_reference(plant):
     # a plant without accel gets the reference's arithmetic: equal bits
     tol = 1e-13 if plant.accel is not None else 0.0
@@ -142,6 +150,17 @@ def test_rk4_step_matches_reference(plant):
         ref = rk4_step_reference(plant, u, x, 1e-3)
         np.testing.assert_allclose(rk4_step(plant, u, x, 1e-3), ref,
                                    rtol=tol, atol=tol * np.abs(ref).max())
+
+
+@_EVERY_PLANT
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+def test_rk4_step_equals_the_stage_loop(plant, dt):
+    # the two-joint straight-line stages make the loop's operations in its
+    # order: equal bits at n = 2, with or without accel; other n run the loop
+    for x1, x2, u in zip(*_random_states(47, plant.n)):
+        x = np.concatenate([x1, x2])
+        np.testing.assert_array_equal(rk4_step(plant, u, x, dt),
+                                      rk4_step_stage_loop(plant, u, x, dt))
 
 
 def test_replaced_dynamics_are_integrated():

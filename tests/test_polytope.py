@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from polysafe.errors import (
     AssumptionViolated,
     EmptySet,
+    NumericalBreakdown,
     TooManyHalfspaces,
     UnboundedPositions,
     ValidationError,
@@ -80,6 +81,32 @@ def test_spec_rejects_empty_term():
     hs += (_hs([1.0], 1.0), _hs([-1.0], 3.0))   # -1 <= x <= 3
     with pytest.raises(ValidationError, match="term 1 is an empty intersection"):
         SafetySpec(halfspaces=hs, terms=((2, 3), (0, 1)), n=1)
+
+
+@pytest.mark.xfail(raises=NumericalBreakdown, strict=True,
+                   reason="a witness coordinate LP reads infeasible on a sliver")
+def test_witness_lps_certify_a_near_degenerate_spec():
+    # a spec the geometry property tests drew: for I = {0, 2, 4, 7} the third
+    # coordinate LP, held to a sliver by the earlier coordinates' slacks,
+    # reads infeasible, also with its tiny entries written as 0
+    hs = (_hs([-1, 0.11843298518488593, -0.28481845629266184], 0.9683521112997997),
+          _hs([-6.3331502613834225e-09, -0.6333150261383422, 2.0662020864622852e-296],
+              0.878325941135872),
+          _hs([-4.23665811722546e-295, 0.004804971664378233, 0.5755883678684517],
+              1.729573417118721),
+          _hs([0.642633598468076, 0.3915114263137511, -0.1468218081543702],
+              1.7311631403426384),
+          _hs([1.9263653395593603, 0.35776849774556907, -0.33800458469766653],
+              -1.7204306887185923),
+          _hs([2.0005944223470445e-38, 1.701917512955402, 0.4836878473604657],
+              0.9673017439072517),
+          _hs([-3.7304703383001527e-205, -4.2337987025907775e-308, 1.9027677155091052],
+              1.9130534608108318),
+          _hs([-1.5069703371235872, -1.544032605441097, -0.982274513667367],
+              2.523377636658936))
+    spec = SafetySpec(halfspaces=hs, terms=((0, 1, 2, 3), (4, 5, 6, 7)), n=3)
+    for I, y in compute_cert(spec).witnesses.items():
+        assert eval_h(spec, y) >= -1e-12, sorted(I)
 
 
 def test_spec_dimension_mismatch():
