@@ -18,7 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientActuation, NoSplit, SingularInertia, ValidationError
+from .errors import (
+    InsufficientActuation,
+    NoSplit,
+    SingularInertia,
+    UsageError,
+    ValidationError,
+)
 from .polytope import SafetySpec, contains, eval_h_many, position_bounding_box
 
 GRAVITY = 9.8  # m/s^2
@@ -374,7 +380,11 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     if not plant.has_split:
         raise NoSplit("plant lacks the potential/velocity decomposition")
     lo, hi = position_bounding_box(spec)
-    grid = _position_grid(spec, lo, hi, max(resolution, 0))
+    try:
+        grid = _position_grid(spec, lo, hi, max(resolution, 0))
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise UsageError(f"a resolution-{resolution} grid has {resolution}^{spec.n} "
+                         "points, too many to allocate") from exc
     if not len(grid):
         raise ValidationError(f"no point of the resolution-{resolution} grid is in C")
     n, dirs = spec.n, _unit_directions(plant.n, _DIRECTIONS)

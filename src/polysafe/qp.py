@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,19 +72,37 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """A solve_qp result.  The objective and KKT residuals are computed from
+    the problem kept here on first read, and cached (None and {} if infeasible)."""
+
     status: str  # "optimal" | "infeasible"
     z: np.ndarray | None = None
-    objective: float | None = None
     active: tuple[int, ...] = ()
     lam: np.ndarray | None = None
-    residuals: dict = field(default_factory=dict)
     farkas: np.ndarray | None = None
     iterations: int = 0
     start: np.ndarray | None = None  # the feasible point the active set began at
+    problem: QpProblem | None = field(default=None, repr=False)
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @cached_property
+    def objective(self) -> float | None:
+        p, z = self.problem, self.z
+        return float(0.5 * z @ p.P @ z + p.c @ z) if self.optimal else None
+
+    @cached_property
+    def residuals(self) -> dict:
+        if not self.optimal:
+            return {}
+        p, z, lam = self.problem, self.z, self.lam
+        grad = p.P @ z + p.c + (p.G.T @ lam if p.G.size else 0.0)
+        primal = float(np.maximum(p.G @ z - p.h, 0.0).max()) if p.G.size else 0.0
+        comp = float(np.abs(lam * (p.G @ z - p.h)).max()) if p.G.size else 0.0
+        return {"stationarity": float(np.abs(grad).max()), "primal": primal,
+                "complementarity": comp}
 
 
 def _feasible_start(G: np.ndarray, h: np.ndarray, g_norm: np.ndarray, hint):
@@ -124,7 +143,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     KKT solve gives Gw @ p = 0, so any row in their span has g @ p = 0 up
     to round-off, while a blocking row needs g @ p > 1e-12 ||g|| ||p||.
     The KKT matrix lives in one buffer per solve, its constraint block
-    rewritten whenever the working set changes.
+    rewritten whenever the working set changes.  The solution keeps `p`
+    for its objective and KKT residuals, computed only if read.
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
@@ -143,7 +163,9 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     K[:nz, :nz] = P
     rhs = np.zeros(nz + G.shape[0])
     work: list[int] = []
-    in_work = np.zeros(G.shape[0], dtype=bool)
+    free = np.ones(G.shape[0], dtype=bool)  # the rows outside the working set
+    g_tol = 1e-12 * g_norm
+    no_ratio = np.full(G.shape[0], np.inf)
     lam_w = np.zeros(0)
     for it in range(_MAX_ITER):
         k = nz + len(work)
@@ -160,7 +182,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
             if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
                 break
             worst = int(np.argmin(lam_w))
-            in_work[work.pop(worst)] = False
+            free[work.pop(worst)] = True
             K[nz:k - 1, :nz] = G[work]
             K[:nz, nz:k - 1] = G[work].T
             continue
@@ -170,9 +192,9 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         blocker = None
         if G.size:
             gp = G @ step_p
-            rising = (gp > 1e-12 * g_norm * p_norm) & ~in_work
+            rising = (gp > g_tol * p_norm) & free
             ratio = np.divide(np.maximum(h - G @ z, 0.0), gp, where=rising,
-                              out=np.full(G.shape[0], np.inf))
+                              out=no_ratio.copy())
             shortest = ratio.min()
             if shortest < 1.0 - 1e-12:
                 blocker = int(np.argmax(ratio <= shortest + 1e-12))
@@ -181,7 +203,7 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         if blocker is not None:
             K[k, :nz] = K[:nz, k] = G[blocker]
             work.append(blocker)
-            in_work[blocker] = True
+            free[blocker] = False
         # a full step with no blocker ends on the next stationarity check
     else:
         raise NumericalBreakdown("active-set iteration limit reached")
@@ -189,18 +211,8 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     lam = np.zeros(G.shape[0])
     for j, i in enumerate(work):
         lam[i] = max(lam_w[j], 0.0) if lam_w.size else 0.0
-    grad = P @ z + c + (G.T @ lam if G.size else 0.0)
-    primal = float(np.maximum(G @ z - h, 0.0).max()) if G.size else 0.0
-    comp = float(np.abs(lam * (G @ z - h)).max()) if G.size else 0.0
-    residuals = {
-        "stationarity": float(np.abs(grad).max()),
-        "primal": primal,
-        "complementarity": comp,
-    }
-    return QpSolution(status="optimal", z=z,
-                      objective=float(0.5 * z @ P @ z + c @ z),
-                      active=tuple(sorted(work)), lam=lam,
-                      residuals=residuals, iterations=it + 1, start=z0)
+    return QpSolution(status="optimal", z=z, active=tuple(sorted(work)), lam=lam,
+                      iterations=it + 1, start=z0, problem=p)
 
 
 @dataclass(frozen=True)
@@ -315,6 +327,7 @@ class SafeguardAssembler:
         The sensitivity is dPhi/du / dt to second order in dt: x1 moves by
         dt^2/2 G2 du, and x2 by dt G2 du + dt^2/2 (DG2[x2] + df2/dx2 G2) du,
         the bracket taken by forward differences over a short time tau.
+        S is built in place, its x1 block first holding the G2 difference.
         """
         plant, n, dt = self.plant, self.plant.n, self.dt
         x1, x2 = x[:n], x[n:]
@@ -322,9 +335,17 @@ class SafeguardAssembler:
         G2 = np.atleast_2d(plant.G2(x1))
         f2 = np.atleast_1d(plant.f2(x1, x2))
         tau = 1e-3 * dt
-        jerk_u = (np.atleast_2d(plant.G2(x1 + tau * x2)) - G2) / tau + np.column_stack(
-            [(np.atleast_1d(plant.f2(x1, x2 + tau * g)) - f2) / tau for g in G2.T])
-        S = np.vstack([0.5 * dt * G2, G2 + 0.5 * dt * jerk_u])
+        S = np.empty((2 * n, G2.shape[1]))
+        S1, S2 = S[:n], S[n:]
+        for j, g in enumerate(G2.T):
+            np.subtract(np.atleast_1d(plant.f2(x1, x2 + tau * g)), f2, out=S2[:, j])
+        S2 /= tau
+        np.subtract(np.atleast_2d(plant.G2(x1 + tau * x2)), G2, out=S1)
+        S1 /= tau
+        S2 += S1  # the jerk bracket
+        S2 *= 0.5 * dt
+        S2 += G2
+        np.multiply(G2, 0.5 * dt, out=S1)
         return (x_lin - x) / dt - S @ u_lin, S
 
     def solve(self, x: np.ndarray, u_nom: np.ndarray | None = None) -> SafeguardResult:

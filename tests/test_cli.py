@@ -202,6 +202,17 @@ def test_construct_auto_bad_resolution_exit_64(tmp_path, specfile, capsys,
     assert "--resolution" in capsys.readouterr().err
 
 
+def test_construct_auto_resolution_too_large_to_allocate_exit_64(tmp_path, specfile,
+                                                                capsys):
+    # numpy refuses a 1e20-point axis before allocating anything
+    code = main(["construct", str(specfile), "--auto", "--d", "400",
+                 "--resolution", "100000000000000000000", "--out", str(tmp_path)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "resolution-100000000000000000000 grid" in err
+    assert "Traceback" not in err
+
+
 def test_construct_missing_file_exit_64(tmp_path):
     assert main(["construct", str(tmp_path / "nope.json"), "--gamma", "1",
                  "--epsilon", "0.1", "--out", str(tmp_path)]) == 64

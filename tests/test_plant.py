@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    held_rate_series,
     rk4_step_reference,
     rk4_step_stage_loop,
     sample_safe_positions,
@@ -35,6 +36,7 @@ from polysafe.polytope import (
     position_bounding_box,
     slab_spec,
 )
+from polysafe.qp import QpWeights, SafeguardAssembler
 from polysafe.sim import rk4_step
 
 
@@ -161,6 +163,22 @@ def test_rk4_step_equals_the_stage_loop(plant, dt):
         x = np.concatenate([x1, x2])
         np.testing.assert_array_equal(rk4_step(plant, u, x, dt),
                                       rk4_step_stage_loop(plant, u, x, dt))
+
+
+@_EVERY_PLANT
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+def test_held_rate_equals_the_blockwise_series(plant, dt):
+    # _held_rate writes S in place with the series' operations, operands of
+    # a sum or product swapped at most: equal bits for every plant and dt
+    spec = _box_spec(plant.n)
+    cbf = build(spec, compute_cert(spec, overrides=np.zeros(plant.n)), 10.0, 0.1)
+    asm = SafeguardAssembler(cbf, plant, QpWeights(c_alpha=1.0), dt=dt)
+    for x1, x2, u in zip(*_random_states(53, plant.n)):
+        x = np.concatenate([x1, x2])
+        d, S = asm._held_rate(x, u)
+        d_ref, S_ref = held_rate_series(plant, x, u, dt)
+        np.testing.assert_array_equal(S, S_ref)
+        np.testing.assert_array_equal(d, d_ref)
 
 
 def test_replaced_dynamics_are_integrated():

@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import continuity_probe, qp_bruteforce, random_qp, safeguard
+from _oracles import (
+    continuity_probe,
+    qp_bruteforce,
+    qp_diagnostics_eager,
+    random_qp,
+    safeguard,
+)
 from polysafe.cbf import build, eval_B
 from polysafe.errors import (
     Infeasible,
@@ -108,6 +114,23 @@ def test_matches_bruteforce_on_500_random_instances():
         assert sol.residuals["stationarity"] <= 1e-8
         assert sol.residuals["primal"] <= 1e-8
         assert sol.residuals["complementarity"] <= 1e-8
+
+
+def test_residuals_and_objective_are_computed_on_read():
+    # on criterion 4's instances the values read equal the formulas once
+    # evaluated on every solve, bit for bit; a second read is the cached one
+    rng = np.random.Generator(np.random.Philox(4))
+    for _ in range(500):
+        p = QpProblem(*random_qp(rng))
+        sol = solve_qp(p)
+        objective, residuals = qp_diagnostics_eager(p, sol.z, sol.lam)
+        assert sol.residuals == residuals
+        assert sol.objective == objective
+        assert sol.residuals is sol.residuals and sol.objective is sol.objective
+    sol = solve_qp(QpProblem(P=np.array([[2.0]]), c=np.zeros(1),
+                             G=np.array([[1.0], [-1.0]]), h=np.array([-1.0, -1.0])))
+    assert sol.status == "infeasible"
+    assert sol.residuals == {} and sol.objective is None
 
 
 def test_repeated_blocking_rows_match_bruteforce():
