@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import integer, real
 
+MAX_FACETS = 1024  # the polygon then lies within 1 - cos(pi/1024) = 4.7e-6 d of the ball
+
 
 class _Polyhedral:
     """An input set {u | G @ u <= h}, with (G, h) = rows(m)."""
@@ -57,7 +59,8 @@ class PolytopicBall(_Polyhedral):
 
     For m = 1 this degenerates to the exact interval; for m = 2 it is a
     regular `facets`-gon with apothem d * cos(pi / facets).  Higher input
-    dimensions are out of scope.
+    dimensions are out of scope.  Each facet is a row of the filter's dense
+    QP, so `facets` is at most MAX_FACETS, checked before any row exists.
     """
 
     d: float
@@ -66,8 +69,8 @@ class PolytopicBall(_Polyhedral):
     def __post_init__(self):
         if not 0 < self.d < np.inf:
             raise ValueError("ball radius must be positive and finite")
-        if self.facets < 3:
-            raise ValueError("need at least 3 facets")
+        if not 3 <= self.facets <= MAX_FACETS:
+            raise ValueError(f"'facets' must be from 3 to {MAX_FACETS}, not {self.facets}")
 
     def rows(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         if m == 1:

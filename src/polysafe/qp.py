@@ -139,12 +139,13 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     tie-breaking, which makes the solve deterministic.  Strict convexity
     makes the optimum unique, whatever the start.
 
-    The working rows stay linearly independent without a rank test: the
-    KKT solve gives Gw @ p = 0, so any row in their span has g @ p = 0 up
-    to round-off, while a blocking row needs g @ p > 1e-12 ||g|| ||p||.
-    The KKT matrix lives in one buffer per solve, its constraint block
-    rewritten whenever the working set changes.  The solution keeps `p`
-    for its objective and KKT residuals, computed only if read.
+    Each iteration solves the KKT system, kept in one buffer, for the
+    minimizer z_W on the working rows and steps along p = z_W - z; the
+    right-hand side [-c; h_W] changes only as rows enter or leave.  The
+    ratio test is one pass in Python floats over the sorted free rows, and
+    a blocking row needs g @ p > 1e-12 ||g|| ||p||.  With no rank test, a
+    row nearly in the working rows' span can enter, and the solve then
+    cycles (test_qp.py::test_nearly_dependent_rows_terminate).
     """
     P, c, G, h = p.P, p.c, p.G, p.h
     nz = P.shape[0]
@@ -159,58 +160,53 @@ def solve_qp(p: QpProblem, start: np.ndarray | None = None) -> QpSolution:
         z = start if start is not None else np.zeros(nz)
     z0 = z
 
-    K = np.zeros((nz + G.shape[0], nz + G.shape[0]))
+    K = np.zeros((2 * nz, 2 * nz))  # at most nz rows work at once
     K[:nz, :nz] = P
-    rhs = np.zeros(nz + G.shape[0])
+    rhs = np.empty(2 * nz)
+    rhs[:nz] = -c
     work: list[int] = []
-    free = np.ones(G.shape[0], dtype=bool)  # the rows outside the working set
-    g_tol = 1e-12 * g_norm
-    no_ratio = np.full(G.shape[0], np.inf)
-    lam_w = np.zeros(0)
+    free = list(range(G.shape[0]))  # the rows outside the working set, sorted
+    g_tol = (1e-12 * g_norm).tolist()
     for it in range(_MAX_ITER):
         k = nz + len(work)
-        rhs[:nz] = -(P @ z + c)
         try:
             sol = np.linalg.solve(K[:k, :k], rhs[:k])
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(K[:k, :k], rhs[:k], rcond=None)
-        step_p = sol[:nz]
-        lam_w = sol[nz:]
+        step_p = sol[:nz] - z
         p_norm = math.sqrt(step_p @ step_p)  # the same formula for a vector
         # with nz independent working rows p is zero but for round-off
         if len(work) == nz or p_norm <= 1e-11 * max(1.0, math.sqrt(z @ z)):
-            if len(work) == 0 or (lam_w >= -_OPT_TOL).all():
+            lam_w = sol[nz:].tolist()
+            if not lam_w or min(lam_w) >= -_OPT_TOL:
                 break
-            worst = int(np.argmin(lam_w))
-            free[work.pop(worst)] = True
+            free = sorted([*free, work.pop(lam_w.index(min(lam_w)))])
             K[nz:k - 1, :nz] = G[work]
             K[:nz, nz:k - 1] = G[work].T
+            rhs[nz:k - 1] = h[work]
             continue
         # longest step along p that stays feasible; the lowest index wins
         # among ratios within 1e-12 of the shortest
-        alpha = 1.0
-        blocker = None
-        if G.size:
-            gp = G @ step_p
-            rising = (gp > g_tol * p_norm) & free
-            ratio = np.divide(np.maximum(h - G @ z, 0.0), gp, where=rising,
-                              out=no_ratio.copy())
-            shortest = ratio.min()
-            if shortest < 1.0 - 1e-12:
-                blocker = int(np.argmax(ratio <= shortest + 1e-12))
-                alpha = ratio[blocker]
+        alpha, blocker = 1.0, None
+        if free:
+            gp, slack = (G @ step_p).tolist(), (h - G @ z).tolist()
+            ratios = [((slack[i] if slack[i] > 0.0 else 0.0) / gp[i], i)
+                      for i in free if gp[i] > g_tol[i] * p_norm]
+            if ratios and (shortest := min(ratios)[0]) < 1.0 - 1e-12:
+                alpha, blocker = next(r for r in ratios if r[0] <= shortest + 1e-12)
         z = z + alpha * step_p
         if blocker is not None:
             K[k, :nz] = K[:nz, k] = G[blocker]
+            rhs[k] = h[blocker]
             work.append(blocker)
-            free[blocker] = False
+            free.remove(blocker)
         # a full step with no blocker ends on the next stationarity check
     else:
         raise NumericalBreakdown("active-set iteration limit reached")
 
     lam = np.zeros(G.shape[0])
     for j, i in enumerate(work):
-        lam[i] = max(lam_w[j], 0.0) if lam_w.size else 0.0
+        lam[i] = max(lam_w[j], 0.0)
     return QpSolution(status="optimal", z=z, active=tuple(sorted(work)), lam=lam,
                       iterations=it + 1, start=z0, problem=p)
 

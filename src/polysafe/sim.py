@@ -63,6 +63,7 @@ class TrajectoryLog:
     alpha: np.ndarray
     M: np.ndarray
     qp_iters: np.ndarray  # active-set iterations; 0 on fast and nominal steps
+    n_active: np.ndarray  # rows active at the QP optimum; 0 on fast and nominal steps
     status: list[str]
     solve_us: np.ndarray
 
@@ -76,14 +77,15 @@ class TrajectoryLog:
                 + [f"x1_{j + 1}" for j in range(n)]
                 + [f"x2_{j + 1}" for j in range(n)]
                 + [f"u_{j + 1}" for j in range(m)]
-                + ["B", "h", "alpha", "M", "qp_iters", "status", "solve_us"])
+                + ["B", "h", "alpha", "M", "qp_iters", "n_active", "status", "solve_us"])
         with open(path, "w") as f:
             f.write(",".join(cols) + "\n")
             for k in range(len(self.t)):
                 vals = [self.t[k], *self.x[k], *self.u[k], self.B[k], self.h[k],
                         self.alpha[k], self.M[k]]
                 f.write(",".join(format(v, ".17g") for v in vals)
-                        + f",{self.qp_iters[k]},{self.status[k]},{self.solve_us[k]:.17g}\n")
+                        + f",{self.qp_iters[k]},{self.n_active[k]},{self.status[k]},"
+                        f"{self.solve_us[k]:.17g}\n")
 
 
 def simulate(sc: Scenario) -> TrajectoryLog:
@@ -100,6 +102,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         alpha = np.full(npt, np.nan)
         Mv = np.full(npt, np.nan)
         qp_iters = np.zeros(npt, dtype=int)
+        n_active = np.zeros(npt, dtype=int)
         solve_us = np.zeros(npt)
     except (MemoryError, OverflowError, ValueError) as exc:
         raise UsageError(f"t_final / dt = {sc.t_final / sc.dt:.4g} steps are too "
@@ -132,6 +135,7 @@ def simulate(sc: Scenario) -> TrajectoryLog:
             alpha[k] = res.alpha_star
             Mv[k] = res.M_star
             qp_iters[k] = 0 if res.fast_path else res.solution.iterations
+            n_active[k] = 0 if res.fast_path else len(res.solution.active)
             status.append("fast" if res.fast_path else "optimal")
         else:
             B[k] = eval_B(sc.cbf, x).value
@@ -144,7 +148,8 @@ def simulate(sc: Scenario) -> TrajectoryLog:
         if k < steps:
             x = rk4_step(sc.plant, u, x, sc.dt)
     return TrajectoryLog(t=t, x=X, u=U, B=B, h=H, alpha=alpha, M=Mv,
-                         qp_iters=qp_iters, status=status, solve_us=solve_us)
+                         qp_iters=qp_iters, n_active=n_active, status=status,
+                         solve_us=solve_us)
 
 
 @dataclass(frozen=True)

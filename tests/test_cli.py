@@ -449,6 +449,10 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(_simulate_with(**_controller(
         input_set={"type": "ball", "d": 100.0, "facets": 7.9})), "'facets'",
         id="facets-fraction"),
+    # refused before any row is allocated: 1e9 facets once took all memory
+    pytest.param(_simulate_with(**_controller(
+        input_set={"type": "ball", "d": 100.0, "facets": 10**12})), "'facets'",
+        id="facets-too-many"),
     pytest.param(_simulate_with(plant={"type": "double_integrator", "n": 2.9},
                                 controller={"mode": "safeguarded", "nominal": "zero"}),
                  "'n'", id="plant-n-fraction"),
@@ -482,6 +486,17 @@ def test_malformed_input_exits_64_naming_field(tmp_path, specfile, capsys, argv,
                                                 field):
     assert main(argv(tmp_path, specfile)) == 64
     assert field in capsys.readouterr().err
+
+
+def test_ball_facet_limit_is_checked_before_the_rows():
+    # building the ball allocates nothing, so the refused count is safe to try
+    from polysafe.inputs import MAX_FACETS, PolytopicBall
+
+    for facets in (2, MAX_FACETS + 1, 10**12):
+        with pytest.raises(ValueError, match=f"from 3 to {MAX_FACETS}"):
+            PolytopicBall(1.0, facets=facets)
+    G, h = PolytopicBall(1.0, facets=MAX_FACETS).rows(2)
+    assert G.shape == (MAX_FACETS, 2) and h.shape == (MAX_FACETS,)
 
 
 def _construct_slab(**first):

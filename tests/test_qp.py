@@ -18,6 +18,7 @@ from polysafe.errors import (
     Infeasible,
     NonFinite,
     NotPositiveDefinite,
+    NumericalBreakdown,
     ParameterViolation,
 )
 from polysafe.inputs import Box, Unbounded
@@ -200,6 +201,25 @@ def test_any_strictly_feasible_start_gives_the_same_optimum():
             np.testing.assert_array_equal(sol.start, hint)  # accepted as is
             np.testing.assert_allclose(sol.z, lp_started.z, rtol=0, atol=1e-9)
             np.testing.assert_allclose(sol.z, ref[0], rtol=0, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="no rank test on the entering row: the solve cycles "
+                          "between working sets {0, 1} and {0, 1, 3}")
+def test_nearly_dependent_rows_terminate():
+    # a feasible, strictly convex QP whose row 3 enters 1e-10 rad from row
+    # 1's span; the 3-row KKT matrix then has condition number about 2e17,
+    # its multipliers read [2, 1, -1] for about [2, 6e10, 6e10], row 3 is
+    # dropped, and the next step is blocked by it at length 0
+    P, c = 2.0 * np.eye(3), np.zeros(3)
+    G = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, -1e-10], [-0.5, 0.0, 0.0],
+                  [0.0, 1.0, 0.0], [0.0, 0.0, -0.5], [0.5, -1.0, 0.5]])
+    h = np.array([-1.0000000002979998, -1.0000000002979998, 1.0, 1.0, 1.0, 1.0])
+    ref = qp_bruteforce(P, c, G, h)
+    assert ref is not None
+    sol = solve_qp(QpProblem(P=P, c=c, G=G, h=h))
+    assert sol.optimal
+    np.testing.assert_allclose(sol.z, ref[0], rtol=0, atol=1e-6)
 
 
 def test_deterministic_resolve():

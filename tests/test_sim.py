@@ -7,7 +7,7 @@ from polysafe.cbf import build, eval_B, velocity_bound
 from polysafe.errors import NonFinite, QpInfeasibleAt
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
-from polysafe.qp import SafeguardAssembler
+from polysafe.qp import QpWeights, SafeguardAssembler
 from polysafe.sim import Scenario, audit_invariance, rk4_step, simulate
 
 
@@ -84,7 +84,7 @@ def test_csv_export(tmp_path, hexagon_cbf, arm, arm_nominal):
     log.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("t,x1_1,x1_2,x2_1,x2_2,u_1,u_2,B,h,alpha,M,"
-                       "qp_iters,status,solve_us")
+                       "qp_iters,n_active,status,solve_us")
     assert len(lines) == len(log) + 1
     # 17-significant-digit rendering round-trips exactly
     row = lines[5].split(",")
@@ -150,6 +150,33 @@ def test_logged_qp_iters_leave_the_loop_unchanged(monkeypatch, hexagon, hexagon_
     assert log.qp_iters.tolist() == [0 if r.fast_path else r.solution.iterations
                                      for r in results]
     assert (log.qp_iters[np.array(log.status) == "optimal"] >= 1).all()
+
+
+@pytest.mark.parametrize("mode, gamma", [("safeguarded", 0.1), ("safeguarded", 10.0),
+                                         ("nominal", 0.1)])
+def test_logged_n_active_leaves_the_loop_unchanged(hexagon, hexagon_cert, arm,
+                                                   arm_nominal, mode, gamma):
+    # the log holds the optimum's active-row count on QP steps and 0
+    # elsewhere; x, u and B are those of the same loop run with no log,
+    # bit for bit (at gamma = 0.1 every step is a QP step, at 10 none is)
+    cbf = build(hexagon, hexagon_cert, gamma, min(0.1, gamma * hexagon_cert.delta / 2))
+    log = simulate(Scenario(cbf=cbf, plant=arm, mode=mode, x0=np.zeros(4),
+                            t_final=0.05, nominal=arm_nominal))
+    assert log.n_active.dtype.kind == "i" and log.n_active.shape == (51,)
+    if mode == "nominal":
+        assert not log.n_active.any()
+        return
+    asm = SafeguardAssembler(cbf, arm, QpWeights(), Unbounded())
+    x = np.zeros(4)
+    for k in range(len(log)):
+        res = asm.solve(x, u_nom=arm_nominal(log.t[k], x))
+        assert (log.x[k] == x).all() and (log.u[k] == res.u_star).all()
+        assert log.B[k] == res.B
+        assert log.n_active[k] == (0 if res.fast_path else len(res.solution.active))
+        x = rk4_step(arm, res.u_star, x, 1e-3)
+    optimal = np.array(log.status) == "optimal"
+    assert optimal.all() if gamma < 1 else not optimal.any()
+    assert (log.n_active[optimal] >= 1).all()
 
 
 # --- runtime failure paths ----------------------------------------------------
