@@ -12,16 +12,16 @@ half-space membership requirement).  Its dual
 is in standard form with one equation per variable, so the simplex runs
 on it directly: x is read off its simplex multipliers and mu is its
 basic solution.  Instances in this package are tiny (a few variables,
-tens of rows).  Each entry to the simplex loop (phase 1, phase 2)
-factors its starting basis once, as an explicit inverse; each pivot then
-updates that inverse by the rank-1 (eta) formula of the column swap, and
+tens of rows).  Each simplex iteration inverts its basis afresh, and
 the basic solution, the multipliers and the entering column are products
-with it.  Pivots are bounded away from zero (PIVOT_TOL), so the update
-stays well defined.  Phase 2's reduced costs are the residuals
+with that inverse; an inverse updated pivot by pivot gathers error, and
+then calls a basis optimal whose x misses a row by far more than the
+tolerance.  Pivots are bounded away from zero (PIVOT_TOL), so each basis
+stays invertible.  Phase 2's reduced costs are the residuals
 a_i @ x - b_i, so its optimality test (OPT_TOL) makes an optimal x meet
 every row to about 1e-12.  The scipy comparisons, the rank-deficient and
-degenerate instances in tests/test_lp.py and the QP oracle checks built
-on the phase-1 LP guard this arithmetic.
+degenerate instances and the margin-LP reproducer in tests/test_lp.py,
+and the QP oracle checks built on the phase-1 LP, guard this arithmetic.
 """
 
 from __future__ import annotations
@@ -99,13 +99,13 @@ def _simplex_core(t: _Tableau, tol: float):
     """
     As, bs, cs = t.As, t.bs, t.cs
     m = As.shape[0]
-    try:
-        Binv = np.linalg.inv(As[:, t.basis])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("singular basis in simplex") from exc
     bland = False
     degenerate = 0
     for _ in range(_MAX_ITER):
+        try:
+            Binv = np.linalg.inv(As[:, t.basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown("singular basis in simplex") from exc
         xB = Binv @ bs
         y = cs[t.basis] @ Binv
         reduced = cs - As.T @ y
@@ -136,10 +136,6 @@ def _simplex_core(t: _Tableau, tol: float):
         else:
             degenerate = 0
         t.basis[leaving] = entering
-        # rank-1 (eta) update of the inverse for the column swap
-        pivot_row = Binv[leaving] / d[leaving]
-        Binv -= np.outer(d, pivot_row)
-        Binv[leaving] = pivot_row
     raise NumericalBreakdown("simplex iteration limit reached")
 
 

@@ -271,10 +271,10 @@ class SafeguardAssembler:
     B_i is affine, so the row bounds the change of B_i over the step: the
     maximizing term gives B(x+) >= (1 - alpha dt) B(x), which keeps B >= 0
     at the samples of a sample-and-hold loop while alpha dt <= 1: the QP
-    bounds alpha by 1/dt, and c_alpha dt > 1 is rejected.  The candidate u_nom is checked
-    against the exact step; the QP uses Phi linearized in u at the last
-    call's input (at u_nom on the first call), with its input
-    sensitivity correct to second order in dt.
+    bounds alpha by 1/dt, and c_alpha dt > 1 is rejected.  The candidate
+    u_nom is checked against the exact step; the QP uses Phi linearized in
+    u at the last call's input (at u_nom on the first call), its input
+    sensitivity the secant of Phi itself over a small input step.
 
     Consecutive solve calls follow one trajectory; a fresh assembler is
     the one-shot filter.
@@ -320,28 +320,20 @@ class SafeguardAssembler:
     def _held_rate(self, x: np.ndarray, u_lin: np.ndarray):
         """(d, S) with (Phi(x, u) - x) / dt ~ d + S @ u near u_lin.
 
-        The sensitivity is dPhi/du / dt to second order in dt: x1 moves by
-        dt^2/2 G2 du, and x2 by dt G2 du + dt^2/2 (DG2[x2] + df2/dx2 G2) du,
-        the bracket taken by forward differences over a short time tau.
-        S is built in place, its x1 block first holding the G2 difference.
+        S is the secant of the held step itself: column j is
+        (Phi(x, u_lin + eps e_j) - Phi(x, u_lin)) / (eps dt), with
+        eps = 1e-3 max(1, |u_lin|_inf).  So the filter reads the plant only
+        through rk4_step, and the model is exact where Phi is affine in u.
         """
-        plant, n, dt = self.plant, self.plant.n, self.dt
-        x1, x2 = x[:n], x[n:]
+        plant, dt = self.plant, self.dt
         x_lin = rk4_step(plant, u_lin, x, dt)
-        G2 = np.atleast_2d(plant.G2(x1))
-        f2 = np.atleast_1d(plant.f2(x1, x2))
-        tau = 1e-3 * dt
-        S = np.empty((2 * n, G2.shape[1]))
-        S1, S2 = S[:n], S[n:]
-        for j, g in enumerate(G2.T):
-            np.subtract(np.atleast_1d(plant.f2(x1, x2 + tau * g)), f2, out=S2[:, j])
-        S2 /= tau
-        np.subtract(np.atleast_2d(plant.G2(x1 + tau * x2)), G2, out=S1)
-        S1 /= tau
-        S2 += S1  # the jerk bracket
-        S2 *= 0.5 * dt
-        S2 += G2
-        np.multiply(G2, 0.5 * dt, out=S1)
+        us = u_lin.tolist()  # Python floats perturb cheaper than arrays
+        eps = 1e-3 * max(1.0, *map(abs, us))
+        S = np.empty((x.size, len(us)))
+        for j in range(len(us)):
+            S[:, j] = rk4_step(plant, us[:j] + [us[j] + eps] + us[j + 1:], x, dt)
+        S -= x_lin[:, None]
+        S /= eps * dt
         return (x_lin - x) / dt - S @ u_lin, S
 
     def solve(self, x: np.ndarray, u_nom: np.ndarray | None = None) -> SafeguardResult:

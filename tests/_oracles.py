@@ -178,24 +178,6 @@ def rk4_step_stage_loop(plant, u, x, dt):
                      for a, b1, b2, b3, b4 in zip(xs, k1, k2, k3, k4)])
 
 
-def held_rate_series(plant, x, u_lin, dt):
-    """The filter's held-step model (d, S) from blockwise arrays: S stacks
-    dt/2 G2 over G2 + dt/2 (DG2[x2] + df2/dx2 G2), the bracket taken by
-    forward differences over tau = 1e-3 dt."""
-    from polysafe.plant import rk4_step
-
-    n = plant.n
-    x1, x2 = x[:n], x[n:]
-    x_lin = rk4_step(plant, u_lin, x, dt)
-    G2 = np.atleast_2d(plant.G2(x1))
-    f2 = np.atleast_1d(plant.f2(x1, x2))
-    tau = 1e-3 * dt
-    jerk_u = (np.atleast_2d(plant.G2(x1 + tau * x2)) - G2) / tau + np.column_stack(
-        [(np.atleast_1d(plant.f2(x1, x2 + tau * g)) - f2) / tau for g in G2.T])
-    S = np.vstack([0.5 * dt * G2, G2 + 0.5 * dt * jerk_u])
-    return (x_lin - x) / dt - S @ u_lin, S
-
-
 def qp_diagnostics_eager(p, z, lam):
     """(objective, KKT residuals) of the optimum z, lam of QpProblem p,
     by the formulas solve_qp once evaluated on every solve."""

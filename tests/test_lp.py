@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from polysafe import lp as lp_module
 from polysafe.errors import NumericalBreakdown
 from polysafe.lp import LpProblem, lp_feasible_point, lp_solve
+from polysafe.polytope import HalfSpace, SafetySpec, enumerate_s_cap
 
 
 def test_scalar_interval():
@@ -175,3 +176,38 @@ def test_bland_switch_ends_beale_cycle(monkeypatch):
     monkeypatch.setattr(lp_module, "_BLAND_AFTER", lp_module._MAX_ITER)
     with pytest.raises(NumericalBreakdown, match="iteration limit"):
         lp_module._simplex_core(_beale_tableau(), lp_module.OPT_TOL)
+
+
+def test_optimal_points_meet_every_row_of_the_margin_lps():
+    # a 3-D spec drawn by the geometry property tests: before the inverse was
+    # recomputed ahead of the optimality test, eta updates left ten margin LPs
+    # "optimal" with a row violated by up to 1.13e-5 (cond(A) at most 2.5)
+    rows = [((1.3645787641405416, 1.8830988549488893e-232, 6.437161264169156e-240), 0.5),
+            ((-0.45764109269102177, 1.0773468872033427, 2.9106126612862683e-190),
+             1.6422395160945567),
+            ((-0.21829076344733458, 8.376175729861714e-08, 0.8376175729861715),
+             0.4676442718848321),
+            ((-0.7302809791675885, -0.3511455135706695, -0.39534861721130415),
+             2.0980464570684036),
+            ((-1.2136003366946877, -0.4782958873731074, 3.4233125195697614e-270),
+             0.9677407105184181),
+            ((4.542661853441075e-228, -0.6809134647190025, -6.8091346471900246e-12),
+             1.8141857422959076),
+            ((1.5e-12, 0.16710910018124106, 1.5), 0.8459756931008867),
+            ((1.1839174506526475, 0.8097630893361454, -0.6003986218461873),
+             0.8942445110673316)]
+    spec = SafetySpec(halfspaces=tuple(HalfSpace(np.array(a), b) for a, b in rows),
+                      terms=((0, 1, 2, 3), (4, 5, 6, 7)), n=3)
+    c = np.array([0.0, 0.0, 0.0, 1.0])
+    solved = 0
+    for I in enumerate_s_cap(spec):
+        for term in spec.terms:
+            # max_min_point's margin LP: max t s.t. h_i >= t on I, h_i >= 0 on the term
+            idx = sorted(I) + sorted(term)
+            A = np.column_stack([spec.A[idx], [-1.0] * len(I) + [0.0] * len(term)])
+            b = -spec.offsets[idx]
+            sol = lp_solve(LpProblem(c=c, A=A, b=b))
+            if sol.optimal:
+                solved += 1
+                assert (A @ sol.x - b).min() >= -1e-12, (sorted(I), term)
+    assert solved > 100

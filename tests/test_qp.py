@@ -417,14 +417,16 @@ def test_nominal_input_of_the_wrong_size_raises(hexagon_cbf, arm):
                 simulate(sc)
 
 
-@pytest.mark.parametrize("field", ["G2", "f2"])
+@pytest.mark.parametrize("field", ["G2", "f2", "accel"])
 def test_nonfinite_plant_on_the_qp_step_raises_nonfinite(hexagon_cbf, arm, field):
-    # the arm's accel keeps the exact step finite, so the large input fails
-    # the fast step and the NaN reaches the QP's rows through the held step's
-    # sensitivity, which reads G2 and f2; the assembler checks c, G and h
+    # the filter reads the plant only through rk4_step: through accel when
+    # the plant has one, else through f2 and G2.  The NaN fails the fast
+    # step and reaches the QP's rows through the held step's secant; the
+    # assembler checks c, G and h
     nan = {"G2": lambda x1: np.full((2, 2), np.nan),
-           "f2": lambda x1, x2: np.full(2, np.nan)}[field]
-    plant = dataclasses.replace(arm, **{field: nan})
+           "f2": lambda x1, x2: np.full(2, np.nan),
+           "accel": lambda x1, x2, u: [np.nan, np.nan]}[field]
+    plant = dataclasses.replace(arm, **{"accel": None, field: nan})
     asm = SafeguardAssembler(hexagon_cbf, plant, QpWeights(), Unbounded())
     with pytest.raises(NonFinite, match="non-finite entries in the QP data"):
         asm.solve(np.zeros(4), u_nom=np.array([1e4, 1e4]))
@@ -466,6 +468,19 @@ def phase1_loops(hexagon, hexagon_cert, arm, arm_nominal):
                                     input_set=Unbounded()))
         runs[gamma] = log, len(calls), qps
     return runs
+
+
+def test_worst_held_step_miss_on_the_drift_loops(phase1_loops):
+    # each QP step's rows bound B over the held step, linearized in u at the
+    # last step's input, so B(x_{k+1}) >= (1 - alpha_k dt) B(x_k) holds up
+    # to the model's error at u*.  With S the step's own secant the worst
+    # miss reads -2.5e-12 (gamma = 0.1) and +8.1e-15 (gamma = 10); a dt^2
+    # series for S misses by -1.96e-10 and -2.46e-10
+    for gamma in (0.1, 10.0):
+        log = phase1_loops[gamma][0]
+        k = np.flatnonzero(np.array(log.status[:-1]) == "optimal")
+        miss = log.B[k + 1] - (1.0 - log.alpha[k] * 1e-3) * log.B[k]
+        assert miss.min() >= -2e-11, (gamma, miss.min())
 
 
 def test_phase1_lp_runs_on_few_filter_steps(phase1_loops):
