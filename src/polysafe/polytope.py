@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     EmptySet,
-    NumericalBreakdown,
     TooManyHalfspaces,
     UnboundedPositions,
     ValidationError,
@@ -265,15 +264,13 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
     """Best interior witness y_I = argmax over C of min_{i in I} h_i.
 
     Solves one margin-maximization LP per term whose intersection with
-    the I half-spaces is nonempty; returns the best point and its margin.
-    Ties across terms break toward the lowest term index.  The margin LP
-    is degenerate, with a face of maximizers, so the witness is the
-    face's lexicographically smallest point, not whichever vertex the
-    simplex reaches: one LP per coordinate j minimizes x_j with the
-    margin held at its optimum t* less 1e-12 max(1, |t*|) and each earlier
-    x_k held at its minimum plus 1e-12 max(1, |x_k|), a slack that keeps
-    the next LP feasible when its rows are met only to round-off.  The
-    margin returned is t*.
+    the I half-spaces is nonempty; returns the optimal vertex of the best
+    term's LP and its margin.  Ties across terms break toward the lowest
+    term index.  Each term row is held 1e-12 max(1, |b_i|) inside, so the
+    vertex lies in C although the LP meets a row only to round-off.  The
+    margin LP is degenerate, with a face of maximizers, and the witness is
+    whichever vertex the simplex reaches: a change to the pivoting in
+    lp.py may move it (a pinned witness does not move).
     """
     I = frozenset(I)
     idx_I = sorted(I)
@@ -281,10 +278,11 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
     best = None
     for t in spec.terms:
         # variables (x, t_margin); maximize t_margin with h_i(x) >= t_margin
-        # on I and h_i(x) >= 0 on the term
+        # on I and h_i(x) >= its floor on the term
         idx = idx_I + sorted(t)
         margin_col = np.concatenate([-np.ones(len(idx_I)), np.zeros(len(t))])
         A, b = np.column_stack([spec.A[idx], margin_col]), -spec.offsets[idx]
+        b[len(idx_I):] += 1e-12 * np.maximum(1.0, np.abs(b[len(idx_I):]))
         c = np.zeros(n + 1)
         c[-1] = 1.0
         sol = lp_solve(LpProblem(c=c, A=A, b=b))
@@ -292,41 +290,28 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
             continue
         if sol.status == "unbounded":
             raise UnboundedPositions("witness margin LP unbounded; positions not compact")
-        if best is None or sol.objective > best[2] + 1e-12:
-            best = (A, b, sol.objective)
+        if best is None or sol.objective > best[1] + 1e-12:
+            best = (sol.x[:n], sol.objective)
     if best is None:
         raise AssumptionViolated(f"index set {sorted(I)} does not meet the safety set")
-    A, b, margin = best
+    y, margin = best
     if margin <= 0.0:
         raise AssumptionViolated(
             f"no interior witness for {sorted(I)}: best margin {margin:.3e}"
         )
-    # the maximizers: t >= t* less the slack; each minimized x_j is then
-    # held by -x_j >= -(min x_j plus the slack)
-    A = np.vstack([A, np.eye(n + 1)[-1]])
-    b = np.append(b, margin - 1e-12 * max(1.0, abs(margin)))
-    for j in range(n):
-        c = np.zeros(n + 1)
-        c[j] = -1.0
-        sol = lp_solve(LpProblem(c=c, A=A, b=b))
-        if sol.status == "unbounded":
-            raise UnboundedPositions("witness set unbounded; positions not compact")
-        if not sol.optimal:
-            raise NumericalBreakdown("witness coordinate LP infeasible")
-        A = np.vstack([A, -np.eye(n + 1)[j]])
-        b = np.append(b, -sol.x[j] - 1e-12 * max(1.0, abs(sol.x[j])))
-    return sol.x[:n], float(margin)
+    return y, float(margin)
 
 
 def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     """Assemble the geometry certificate.
 
-    `overrides`, if given, is one point pinned as the witness of every
-    index set.  Every witness's margin is evaluated at the witness: its r
-    row values h_i(y) once, then their minimum over each I, so delta is
-    the smallest margin one attains.  Boundedness is read from the
-    spec's stored term extents.  Raises UnboundedPositions if any term is
-    an unbounded polytope, AssumptionViolated if a witness fails its
+    Each index set's witness is `overrides`, one point pinned for all, if
+    given, and else max_min_point's LP vertex, which lies in C and may move
+    when lp.py's pivoting changes.  Every witness's margin is evaluated at
+    the witness: its r row values h_i(y) once, then their minimum over
+    each I, so delta is the smallest margin one attains.  Boundedness is
+    read from the spec's stored term extents.  Raises UnboundedPositions
+    if any term is unbounded, AssumptionViolated if a witness fails its
     strict margin.
     """
     for li, lo_hi in enumerate(spec.term_extents):

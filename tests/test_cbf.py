@@ -215,6 +215,10 @@ def test_certification_lp_budget(monkeypatch):
     assert len(calls) == 8   # plus the velocity extents, solved once
     position_bounding_box(spec)
     assert len(calls) == 8
+    # unpinned, each of the 63 index sets' witnesses is one margin LP's
+    # vertex; the one term covers every index set, so no feasibility LP runs
+    compute_cert(spec)
+    assert len(calls) == 8 + 63
 
 
 def test_velocity_bound_slab_analytic(slab, slab_cert):

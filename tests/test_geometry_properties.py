@@ -4,8 +4,6 @@ relies on."""
 
 import numpy as np
 from hypothesis import assume, given, seed, settings
-from hypothesis.internal.compat import int_from_bytes
-from hypothesis.internal.reflection import function_digest
 from hypothesis import strategies as st
 
 from _oracles import extended_extents_full
@@ -72,7 +70,8 @@ def bounded_specs(draw):
     return SafetySpec(halfspaces=tuple(halfspaces), terms=tuple(terms), n=n)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@seed(0)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_geometry_certificate_holds_or_fails_documented(data):
     try:
@@ -83,7 +82,7 @@ def test_random_geometry_certificate_holds_or_fails_documented(data):
         return
     assert cert.delta > 0
     for I, y in cert.witnesses.items():
-        assert eval_h(spec, y) >= -1e-12, sorted(I)
+        assert eval_h(spec, y) >= 0.0, sorted(I)
         idx = sorted(I)
         assert (spec.A[idx] @ y + spec.offsets[idx]).min() >= cert.delta - 1e-14
     for t in spec.terms:   # a term's witness is interior
@@ -93,10 +92,8 @@ def test_random_geometry_certificate_holds_or_fails_documented(data):
     assert check_compactness(cbf)
     assert np.isfinite(velocity_bound(cbf).norm_bound)
     for y in cert.witnesses.values():
-        # a witness on the boundary of C lifts to B = h(y) = 0 up to round-off,
-        # and one round-off outside C cannot be lifted
-        if contains(spec, y):
-            assert eval_B(cbf, lift_position(cbf, y)).value >= -1e-12
+        # a witness on the boundary of C lifts to B = h(y) = 0 up to round-off
+        assert eval_B(cbf, lift_position(cbf, y)).value >= -1e-12
     X = sample_boundary(cbf, 20, seed=0)
     report = verify_safety_condition(cbf, double_integrator(spec.n), Unbounded(), X)
     assert report.all_feasible, report.worst_margin
@@ -107,18 +104,12 @@ def _h_rows(spec, y):
     return dict(zip(spec.rows.ids, max_min(spec.rows, y)[0].tolist()))
 
 
-def _same_specs_as(test):
-    """The seed `derandomize=True` gives `test`: with it, another test
-    that draws `bounded_specs()` first draws the same specs."""
-    return seed(int_from_bytes(function_digest(test.hypothesis.inner_test)))
-
-
-@_same_specs_as(test_random_geometry_certificate_holds_or_fails_documented)
-@settings(derandomize=True, max_examples=40, deadline=None)
+@seed(0)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_geometry_stored_extents_match_the_lps(data):
     """What the spec and the barrier store equals what the LPs give, over
-    the certificate test's 40 specs."""
+    the certificate test's specs (the same seed draws the same specs)."""
     try:
         spec = data.draw(bounded_specs())
     except PolysafeError as exc:

@@ -211,3 +211,25 @@ def test_optimal_points_meet_every_row_of_the_margin_lps():
                 solved += 1
                 assert (A @ sol.x - b).min() >= -1e-12, (sorted(I), term)
     assert solved > 100
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="phase 1 pivots on a tiny tied entry into a singular basis")
+def test_degenerate_tie_does_not_pivot_into_a_singular_basis():
+    # a well-conditioned LP (cond(A) 4.7) shaped like a barrier's extended rows:
+    # a degenerate phase-1 tie takes the lowest basis index, so it pivots on
+    # d = 3.0e-11, which passes PIVOT_TOL (cond(B) 1.4e11), and the basis is
+    # singular one pivot later; HiGHS solves it
+    N = np.array([[-1.1395993173793673, 0.305417115212382, -1e-9],
+                  [0.03458528269678976, 1.4695383451048314, 0.0],
+                  [0.0, -0.3991867291191243, -1.0],
+                  [0.8320423548678368, -0.4111691582920743, 0.4806527888844649]])
+    A = np.block([[N, np.zeros((4, 3))], [N, N]])
+    b = -np.ones(8)
+    c = np.eye(6)[4]
+    ref = linprog(-c, A_ub=-A, b_ub=-b, bounds=[(None, None)] * 6, method="highs")
+    assert ref.status == 0
+    sol = lp_solve(LpProblem(c=c, A=A, b=b))
+    assert sol.optimal
+    assert sol.objective == pytest.approx(-ref.fun, rel=1e-7)
+    assert (A @ sol.x - b).min() >= -1e-12
