@@ -56,8 +56,13 @@ class ExtendedCbf:
             )
         # built once: the barrier is evaluated at every control step
         A, b = self.spec.A, self.spec.offsets
-        A_ext = np.block([[A, np.zeros_like(A)], [self.gamma * A, A]])
-        b_ext = np.concatenate([b, self.gamma * b - self.epsilon])
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            A_ext = np.block([[A, np.zeros_like(A)], [self.gamma * A, A]])
+            b_ext = np.concatenate([b, self.gamma * b - self.epsilon])
+        if not (np.isfinite(A_ext).all() and np.isfinite(b_ext).all()):
+            raise ParameterViolation(
+                f"gamma = {self.gamma:.6g} overflows the velocity rows "
+                f"(gamma * A, gamma * b - epsilon)")
         object.__setattr__(self, "rows", TermRows(A_ext, b_ext, self.extended_terms))
 
     @property

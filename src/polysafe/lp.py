@@ -11,17 +11,18 @@ half-space membership requirement).  Its dual
 
 is in standard form with one equation per variable, so the simplex runs
 on it directly: x is read off its simplex multipliers and mu is its
-basic solution.  Instances in this package are tiny (a few variables,
-tens of rows).  Each simplex iteration inverts its basis afresh, and
+basic solution.  Each simplex iteration inverts its basis afresh, and
 the basic solution, the multipliers and the entering column are products
 with that inverse; an inverse updated pivot by pivot gathers error, and
 then calls a basis optimal whose x misses a row by far more than the
-tolerance.  Pivots are bounded away from zero (PIVOT_TOL), so each basis
-stays invertible.  Phase 2's reduced costs are the residuals
-a_i @ x - b_i, so its optimality test (OPT_TOL) makes an optimal x meet
-every row to about 1e-12.  The scipy comparisons, the rank-deficient and
-degenerate instances and the margin-LP reproducer in tests/test_lp.py,
-and the QP oracle checks built on the phase-1 LP, guard this arithmetic.
+tolerance.  Instances here are tiny (a few variables, tens of rows), so
+the ratio test is one pass in Python floats over the entering column d:
+each row with d > PIVOT_TOL blocks at max(xB, 0) / d (no such row: the
+step is unbounded), and of the rows within 1e-12 of the shortest ratio
+the one with the smallest basis index leaves, Bland's anti-cycling
+tie-break.  Phase 2's reduced costs are the residuals a_i @ x - b_i, so
+its optimality test (OPT_TOL) makes an optimal x meet every row to about
+1e-12.  tests/test_lp.py checks all this against scipy and by hand.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def _simplex_core(t: _Tableau, tol: float):
     ("optimal", xB, y) or ("unbounded", entering_col, direction_d).
     """
     As, bs, cs = t.As, t.bs, t.cs
-    m = As.shape[0]
     bland = False
     degenerate = 0
     for _ in range(_MAX_ITER):
@@ -116,26 +116,25 @@ def _simplex_core(t: _Tableau, tol: float):
                 return "optimal", xB, y
             entering = int(improving[0])
         else:
-            entering = int(np.argmin(reduced))
+            entering = int(reduced.argmin())
             if reduced[entering] >= -tol:
                 return "optimal", xB, y
         d = Binv @ As[:, entering]
-        positive = d > PIVOT_TOL
-        if not positive.any():
+        # (ratio, basis index) of each row that blocks the step
+        rows = [(max(x, 0.0) / dr, j)
+                for x, dr, j in zip(xB.tolist(), d.tolist(), t.basis) if dr > PIVOT_TOL]
+        if not rows:
             return "unbounded", entering, d
-        ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(xB[positive], 0.0) / d[positive]
-        best = ratios.min()
+        best = min(rows)[0]
         # smallest basis index among tied rows: anti-cycling tie-break
-        tied = np.flatnonzero(ratios <= best + 1e-12)
-        leaving = int(min(tied, key=lambda r: t.basis[r]))
+        leaving = min(j for q, j in rows if q <= best + 1e-12)
         if best <= FEAS_TOL:
             degenerate += 1
             if degenerate > _BLAND_AFTER:
                 bland = True
         else:
             degenerate = 0
-        t.basis[leaving] = entering
+        t.basis[t.basis.index(leaving)] = entering
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
@@ -147,12 +146,13 @@ def lp_solve(p: LpProblem) -> LpSolution:
     # the dual  min -b @ mu  s.t.  A.T @ mu = -c, mu >= 0, each row signed
     # so that its right-hand side |c_j| is nonnegative
     sign = np.where(c > 0, -1.0, 1.0)
-    As = sign[:, None] * A.T
     bs = np.abs(c)
 
-    # phase 1: one artificial per dual row
-    A1 = np.hstack([As, np.eye(n)])
-    c1 = np.concatenate([np.zeros(m), np.ones(n)])
+    # phase 1: one artificial per dual row, written beside the dual's columns
+    A1 = np.eye(n, m + n, m)
+    As = A1[:, :m] = sign[:, None] * A.T
+    c1 = np.zeros(m + n)
+    c1[m:] = 1.0
     t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
     status, xB, y = _simplex_core(t, FEAS_TOL)
     assert status == "optimal"  # phase 1 is always bounded below by 0

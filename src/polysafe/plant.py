@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     InsufficientActuation,
     NoSplit,
+    NonFinite,
     SingularInertia,
     UsageError,
     ValidationError,
@@ -67,8 +68,12 @@ def rk4_step(plant: PlantModel, u: np.ndarray, x: np.ndarray,
     A two-joint state (n = 2) runs the same operations in the same order
     as straight-line scalar code, so both paths give equal bits; the loop
     over stage lists is the path for every other n.
+
+    A stage state that overflows reaches the plant as inf, where math.sin
+    raises ValueError; the step is then retaken with each stage checked,
+    which raises NonFinite there and repeats any other error of the plant's.
     """
-    n, h, u = plant.n, 0.5 * dt, np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     accel = plant.accel
     if accel is None:
         f2, G2 = plant.f2, plant.G2
@@ -78,6 +83,20 @@ def rk4_step(plant: PlantModel, u: np.ndarray, x: np.ndarray,
             return (f2(x1, np.array(x2)) + G2(x1) @ u).tolist()
 
     us, xs = u.tolist(), np.asarray(x, dtype=float).tolist()
+    try:
+        return _rk4(accel, plant.n, us, xs, dt)
+    except ValueError:
+        def checked(x1, x2, u):
+            if not all(map(math.isfinite, x1 + x2)):
+                raise NonFinite("non-finite state in an RK4 stage") from None
+            return accel(x1, x2, u)
+
+        return _rk4(checked, plant.n, us, xs, dt)
+
+
+def _rk4(accel, n: int, us: list, xs: list, dt: float) -> np.ndarray:
+    """rk4_step's stages, on Python floats."""
+    h = 0.5 * dt
     if n == 2:   # k1 = (v, a), k2 = (b, c), k3 = (d, e), k4 = (f, g)
         p0, p1, v0, v1 = xs
         a0, a1 = accel([p0, p1], [v0, v1], us)

@@ -22,7 +22,7 @@ from polysafe.cbf import (
 )
 from polysafe.errors import NotInC, ParameterViolation
 from polysafe.inputs import Box, PolytopicBall, Unbounded
-from polysafe.polytope import compute_cert, hexagon_spec, slab_spec
+from polysafe.polytope import HalfSpace, SafetySpec, compute_cert, hexagon_spec, slab_spec
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,20 @@ def test_build_rejects_nonpositive_parameters(slab, slab_cert):
         build(slab, slab_cert, -1.0, 0.1)
     with pytest.raises(ParameterViolation):
         build(slab, slab_cert, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    hexagon_spec(),
+    SafetySpec(halfspaces=(HalfSpace(np.array([4.0]), 1.0),
+                           HalfSpace(np.array([-4.0]), 1.0)), terms=((0, 1),), n=1),
+], ids=["offsets", "normals"])
+def test_build_rejects_overflowing_velocity_rows(spec):
+    # the hexagon's gamma * b overflows at gamma = 1e308 (offsets up to pi),
+    # the steep slab's gamma * A (normals of 4)
+    cert = compute_cert(spec, overrides=np.zeros(spec.n))
+    build(spec, cert, 1e300, 0.1)
+    with pytest.raises(ParameterViolation, match="overflow"):
+        build(spec, cert, 1e308, 0.1)
 
 
 def test_extended_terms_double_the_indices(hexagon_cbf):

@@ -554,6 +554,38 @@ def test_json_bool_or_string_in_a_spec_or_barrier_field_exits_3(tmp_path, specfi
     assert "must be a number" in err or "must be an integer" in err
 
 
+_HUGE_GAMMA = {"gamma": 1e308, "epsilon": 0.1, "witness": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda tmp_path, specfile: [
+        "construct", str(specfile), "--gamma", "1e308", "--epsilon", "0.1",
+        "--out", str(tmp_path)], id="construct"),
+    pytest.param(_verify_edited(_set("cbf", "gamma", value=1e308)), id="verify"),
+    pytest.param(lambda tmp_path, specfile: [
+        "simulate", str(_scenario(tmp_path, specfile, cbf=_HUGE_GAMMA)),
+        "--out", str(tmp_path / "r")], id="simulate"),
+    pytest.param(_simulate_with(cbf=_HUGE_GAMMA), id="simulate-skip-verify"),
+    pytest.param(_sweep_with("--values", "1e308"), id="sweep"),
+])
+def test_overflowing_velocity_rows_exit_2(tmp_path, specfile, capsys, argv):
+    # the hexagon's offsets reach pi, so gamma * b overflows at gamma = 1e308;
+    # once these exited 1 (non-finite LP data) or filtered with +inf rows
+    assert main(argv(tmp_path, specfile)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParameterViolation: ") and err.count("\n") == 1
+    assert "overflow" in err
+
+
+def test_non_finite_rk4_stage_exit_5(tmp_path, specfile, capsys):
+    # m2 = 1e-320 overflows the inverse inertia; a later RK4 stage's angle
+    # reads inf, where the arm's math.sin raises ValueError
+    argv = _simulate_with(plant={"type": "two_link_arm", "m2": 1e-320})
+    assert main(argv(tmp_path, specfile)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("NonFinite: ") and err.count("\n") == 1
+
+
 # the documented exit code of every exported error class; 4 belongs to the
 # condition check alone
 _EXIT_CODES = {

@@ -178,6 +178,32 @@ def test_bland_switch_ends_beale_cycle(monkeypatch):
         lp_module._simplex_core(_beale_tableau(), lp_module.OPT_TOL)
 
 
+@pytest.mark.parametrize("gap", [0.0, 5e-13])
+def test_ratio_tie_leaves_the_smallest_basis_index(gap):
+    # column 0 enters, and both rows block it at ratio 1 (row 1 up to a gap
+    # inside the 1e-12 tie window); row 1 holds basis index 2 < 3, so it
+    # leaves although row 0 comes first: Bland's tie-break
+    As = np.array([[1.0, 1.0, 0.0, 1.0],
+                   [1.0, 0.0, 1.0, 0.0]])
+    t = lp_module._Tableau(As, np.array([1.0, 1.0 + gap]),
+                           np.array([-1.0, 1.0, 0.0, 0.0]), basis=[3, 2])
+    status, _, _ = lp_module._simplex_core(t, lp_module.OPT_TOL)
+    assert status == "optimal"
+    assert t.basis == [3, 0]
+
+
+def test_entering_column_without_a_pivot_above_tolerance_is_unbounded():
+    # column 0 improves, and its one positive entry is PIVOT_TOL itself: no
+    # row blocks it, so the ray is unbounded rather than a pivot on 1e-12
+    As = np.array([[lp_module.PIVOT_TOL, 1.0, 0.0],
+                   [-1.0, 0.0, 1.0]])
+    t = lp_module._Tableau(As, np.array([1.0, 1.0]), np.array([-1.0, 0.0, 0.0]),
+                           basis=[1, 2])
+    status, entering, d = lp_module._simplex_core(t, lp_module.OPT_TOL)
+    assert (status, entering) == ("unbounded", 0)
+    np.testing.assert_array_equal(d, As[:, 0])
+
+
 def test_optimal_points_meet_every_row_of_the_margin_lps():
     # a 3-D spec drawn by the geometry property tests: before the inverse was
     # recomputed ahead of the optimality test, eta updates left ten margin LPs

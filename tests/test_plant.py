@@ -13,7 +13,7 @@ from _oracles import (
 )
 from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
-from polysafe.errors import InsufficientActuation, NoSplit, ValidationError
+from polysafe.errors import InsufficientActuation, NonFinite, NoSplit, ValidationError
 from polysafe.plant import (
     ArmParams,
     PlantModel,
@@ -192,6 +192,23 @@ def test_held_rate_is_the_secant_of_the_held_step(plant, dt):
                                        for e in np.eye(plant.m)]) / (2 * h * dt)
             np.testing.assert_allclose(S, central, rtol=0,
                                        atol=1e-6 * np.abs(central).max())
+
+
+def test_rk4_stage_overflow_raises_non_finite():
+    # m2 = 1e-320 overflows the inverse inertia: a later stage's angle reads
+    # inf, where the arm's math.sin raises ValueError
+    arm = two_link_arm(ArmParams(m2=1e-320))
+    with pytest.raises(NonFinite, match="RK4 stage"):
+        rk4_step(arm, np.ones(2), np.zeros(4), 1e-3)
+
+
+def test_rk4_step_repeats_a_plant_error_at_finite_stages():
+    def accel(x1, x2, u):
+        raise ValueError("refused by the plant")
+
+    plant = dataclasses.replace(double_integrator(2), accel=accel)
+    with pytest.raises(ValueError, match="refused by the plant"):
+        rk4_step(plant, np.ones(2), np.zeros(4), 1e-3)
 
 
 def test_replaced_dynamics_are_integrated():
