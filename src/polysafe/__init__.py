@@ -7,23 +7,13 @@ minimally modifies a nominal command; `simulate` closes the loop.
 """
 
 from .errors import (
-    AssumptionViolated,
-    EmptyFacet,
     EmptySet,
     Infeasible,
-    InsufficientActuation,
-    NoSplit,
     NonFinite,
-    NotInC,
-    NotPositiveDefinite,
-    NotRightInvertible,
     NumericalBreakdown,
     ParameterViolation,
     PolysafeError,
     QpInfeasibleAt,
-    SingularInertia,
-    TooManyHalfspaces,
-    UnboundedPositions,
     UsageError,
     ValidationError,
 )
@@ -38,7 +28,6 @@ from .polytope import (
     eval_h,
     eval_h_many,
     hexagon_spec,
-    is_bounded,
     max_min_point,
     position_bounding_box,
     slab_spec,

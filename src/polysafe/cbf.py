@@ -10,20 +10,13 @@ checks the boundary safety condition against a plant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyFacet,
-    NotInC,
-    NotRightInvertible,
-    ParameterViolation,
-    PolysafeError,
-    integer,
-    real,
-)
+from .errors import NonFinite, ParameterViolation, PolysafeError, integer, real
 from .lp import LpProblem, lp_solve, lp_feasible_point
 from .polytope import GeometryCert, SafetySpec, TermRows, extents, max_min
 
@@ -243,7 +236,7 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
     x1 = np.asarray(x1, dtype=float)
     _, term_vals, h = max_min(cbf.spec.rows, x1)
     if h < 0.0:
-        raise NotInC(f"position outside the safety set (h = {h:.3e})")
+        raise PolysafeError(f"position outside the safety set (h = {h:.3e})")
     best = int(np.argmax(term_vals))
     y = cbf.cert.witnesses[frozenset(cbf.spec.terms[best])]
     sigma = 0.5 * (1.0 + cbf.epsilon / (cbf.gamma * cbf.cert.delta))
@@ -286,22 +279,21 @@ def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
 
 
 def _facet_vertices(cbf: ExtendedCbf, ell: int, k: int,
-                    rng: np.random.Generator, n_lps: int) -> np.ndarray:
-    """Vertices of facet {row k = 0} of extended term ell via random-cost LPs."""
+                    rng: np.random.Generator, n_lps: int) -> np.ndarray | None:
+    """Vertices of facet {row k = 0} of extended term ell via random-cost
+    LPs; None if the facet is empty or no LP reaches a vertex."""
     A, b, _ = cbf.term_rows(ell)
     eq_A = np.vstack([A, -A[k]])
     eq_b = np.concatenate([-b, [b[k]]])  # rows >= 0 plus the reversed row k
     if lp_feasible_point(eq_A, eq_b) is None:
-        raise EmptyFacet(f"facet ({ell}, {k}) is empty")
+        return None
     verts = []
     for _ in range(n_lps):
         c = rng.normal(size=A.shape[1])
         sol = lp_solve(LpProblem(c=c, A=eq_A, b=eq_b))
         if sol.optimal:
             verts.append(sol.x)
-    if not verts:
-        raise EmptyFacet(f"facet ({ell}, {k}) produced no vertices")
-    return np.array(verts)
+    return np.array(verts) if verts else None
 
 
 def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
@@ -317,13 +309,9 @@ def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
     if count == 0:
         return np.zeros((0, 2 * cbf.n))
     rng = np.random.Generator(np.random.Philox(seed))
-    facets = []
-    for ell, span in enumerate(cbf.rows.spans):
-        for k in range(len(span)):
-            try:
-                facets.append(_facet_vertices(cbf, ell, k, rng, n_lps=4 * cbf.n + 4))
-            except EmptyFacet:
-                continue
+    facets = [_facet_vertices(cbf, ell, k, rng, n_lps=4 * cbf.n + 4)
+              for ell, span in enumerate(cbf.rows.spans) for k in range(len(span))]
+    facets = [verts for verts in facets if verts is not None]
     if not facets:
         raise PolysafeError("no nonempty boundary facets found")
     samples = []
@@ -404,10 +392,13 @@ def verify_safety_condition(cbf: ExtendedCbf, plant, input_set,
             continue
         y = cbf.cert.witnesses[binding]
         G2 = np.atleast_2d(plant.G2(x1))
+        f2 = np.atleast_1d(plant.f2(x1, x2))
+        # before any arithmetic on them: a NaN margin reads as a failed condition
+        if not all(map(math.isfinite, G2.ravel().tolist() + f2.tolist())):
+            raise NonFinite(f"plant G2 or f2 not finite at sample {sid}")
         G2p = np.linalg.pinv(G2)
         if np.linalg.norm(G2 @ G2p - np.eye(G2.shape[0])) > 1e-8:
-            raise NotRightInvertible(f"G2 not right invertible at sample {sid}")
-        f2 = np.atleast_1d(plant.f2(x1, x2))
+            raise PolysafeError(f"G2 not right invertible at sample {sid}")
         y_x = -x2 - gamma * x1 + gamma * y
         base = -G2p @ (f2 + gamma * x2)
         direction = G2p @ y_x

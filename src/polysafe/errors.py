@@ -1,10 +1,22 @@
 """Exception hierarchy shared across the package.
 
-Every error carries the command line's exit status for it in `exit_code`:
-5, a failure while running (an infeasible filter, a non-finite state, a
-solver breakdown), unless the class says otherwise.  A bad design
-parameter exits 2, a bad constraint spec or barrier 3, and any other
-malformed input or argument 64.
+Every error carries the command line's exit status for it in `exit_code`,
+and each of the four codes has a class of its own:
+
+- `ParameterViolation` (2): a design parameter fails its gate
+  (gamma * delta <= epsilon, an input bound d <= kG * k1);
+- `ValidationError` (3): a bad constraint spec or barrier, or a geometry
+  the certificate refuses (more half-spaces than the enumeration cap, an
+  unbounded term, an index set with no interior witness);
+- `UsageError` (64): any other malformed input or argument;
+- `PolysafeError` (5): a failure while running, such as a position
+  outside C passed to the lift, a G2 with no right inverse, a singular
+  inertia matrix, a QP cost that is not positive definite, or a plant
+  without the potential/velocity force split.
+
+The other subclasses are raised by several modules (`NumericalBreakdown`,
+`NonFinite`), caught inside the package (`EmptySet`, `Infeasible`), or
+carry data (`QpInfeasibleAt`).
 """
 
 import contextlib
@@ -31,6 +43,12 @@ class UsageError(PolysafeError):
     exit_code = 64
 
 
+class ParameterViolation(PolysafeError):
+    """A design parameter fails its gate: gamma * delta > epsilon, d > kG * k1."""
+
+    exit_code = 2
+
+
 class NumericalBreakdown(PolysafeError):
     """A solver hit its iteration limit or a singular basis."""
 
@@ -41,62 +59,8 @@ class EmptySet(PolysafeError):
     exit_code = 3
 
 
-class TooManyHalfspaces(PolysafeError):
-    """Subset enumeration requested beyond the supported cap."""
-
-    exit_code = 3
-
-
-class AssumptionViolated(PolysafeError):
-    """No interior witness point exists for an index set (margin <= 0)."""
-
-    exit_code = 3
-
-
-class UnboundedPositions(PolysafeError):
-    """A term of the position constraint set is unbounded."""
-
-    exit_code = 3
-
-
-class ParameterViolation(PolysafeError):
-    """The design parameters fail the strict gamma * delta > epsilon gate."""
-
-    exit_code = 2
-
-
-class NotInC(PolysafeError):
-    """A position outside the constraint set was passed to the lift."""
-
-
-class EmptyFacet(PolysafeError):
-    """A candidate boundary facet is empty (not part of the boundary)."""
-
-
-class NotRightInvertible(PolysafeError):
-    """G2 has no right inverse at the sampled state."""
-
-
-class NotPositiveDefinite(PolysafeError):
-    """A QP cost matrix failed its Cholesky factorization."""
-
-
 class Infeasible(PolysafeError):
     """A constrained program admits no feasible point."""
-
-
-class InsufficientActuation(PolysafeError):
-    """The input bound cannot dominate the potential forcing (d <= kG * k1)."""
-
-    exit_code = 2
-
-
-class SingularInertia(PolysafeError):
-    """The arm inertia matrix is numerically singular."""
-
-
-class NoSplit(PolysafeError):
-    """The plant does not expose the potential/velocity force decomposition."""
 
 
 class QpInfeasibleAt(PolysafeError):
@@ -109,7 +73,7 @@ class QpInfeasibleAt(PolysafeError):
 
 
 class NonFinite(PolysafeError):
-    """NaN or Inf detected in a simulated state."""
+    """NaN or Inf in a simulated state, or in the plant's G2 or f2."""
 
 
 @contextlib.contextmanager

@@ -19,10 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    InsufficientActuation,
-    NoSplit,
     NonFinite,
-    SingularInertia,
+    ParameterViolation,
+    PolysafeError,
     UsageError,
     ValidationError,
 )
@@ -224,7 +223,7 @@ def two_link_arm(params: ArmParams) -> PlantModel:
         m11, m12, m21, m22 = _inertia(c, theta)
         det = m11 * m22 - m12 * m21
         if abs(det) < 1e-12 * m11 * m22:   # relative: M scales with m l^2
-            raise SingularInertia(f"inertia matrix singular at theta2={theta[1]:.4g}")
+            raise PolysafeError(f"inertia matrix singular at theta2={theta[1]:.4g}")
         return m22 / det, -m12 / det, -m21 / det, m11 / det
 
     def _solve(theta, r0, r1):
@@ -391,13 +390,13 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     first maxima of k1 and kG, the three largest of k2, earliest first
     among ties), so the reported values are refined local maxima.
 
-    f2_velocity must be a quadratic form in x2 (NoSplit if not), so
+    f2_velocity must be a quadratic form in x2 (PolysafeError if not), so
     ||f2_velocity|| / ||x2|| is maximal on ||x2|| = v_cap, and the block
     scan calls it per grid point only at v_cap (e_j + e_k) and v_cap e_j:
     by polarization these price every direction.
     """
     if not plant.has_split:
-        raise NoSplit("plant lacks the potential/velocity decomposition")
+        raise PolysafeError("plant lacks the potential/velocity decomposition")
     lo, hi = position_bounding_box(spec)
     try:
         grid = _position_grid(spec, lo, hi, max(resolution, 0))
@@ -436,7 +435,7 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
         direct = plant.f2_velocity(blk[0], v_cap * check)
         if np.abs(weights(check[None]) @ F[0] - direct).max() > 1e-9 * max(
                 np.abs(direct).max(), np.abs(F[0]).max()):
-            raise NoSplit("f2_velocity is not a quadratic form in x2")
+            raise PolysafeError("f2_velocity is not a quadratic form in x2")
         G = np.array([np.atleast_2d(plant.G2(x1)) for x1 in blk])
         k1_top = _stable_top(k1_top, np.linalg.norm(
             [plant.f2_potential(x1) for x1 in blk], axis=1), blk.__getitem__, f_k1, 1)
@@ -467,7 +466,7 @@ def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,
 
     headroom = d - constants.kG * constants.k1
     if headroom <= 0:
-        raise InsufficientActuation(
+        raise ParameterViolation(
             f"d = {d:.6g} <= kG*k1 = {constants.kG * constants.k1:.6g}"
         )
     delta = cert.delta

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolated,
-    EmptySet,
-    TooManyHalfspaces,
-    UnboundedPositions,
-    ValidationError,
-    integer,
-    parsing,
-    real,
-)
+from .errors import EmptySet, ValidationError, integer, parsing, real
 from .lp import LpProblem, lp_solve, lp_feasible_point
 
 ENUMERATION_CAP = 20
@@ -229,11 +220,6 @@ def extents(A: np.ndarray, b: np.ndarray,
     return lo, hi
 
 
-def is_bounded(A: np.ndarray, b: np.ndarray) -> bool:
-    """True iff every extent of {x | A @ x + b >= 0} is finite (EmptySet if empty)."""
-    return bool(np.isfinite(extents(A, b)).all())
-
-
 def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
     """All nonempty I whose half-space intersection meets the safety set.
 
@@ -242,7 +228,7 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
     shown every term nonempty); capped at r <= ENUMERATION_CAP.
     """
     if spec.r > ENUMERATION_CAP:
-        raise TooManyHalfspaces(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
+        raise ValidationError(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
     cache = {frozenset(t): True for t in spec.terms}
     result = []
     for size in range(1, spec.r + 1):
@@ -289,14 +275,14 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
-            raise UnboundedPositions("witness margin LP unbounded; positions not compact")
+            raise ValidationError("witness margin LP unbounded; positions not compact")
         if best is None or sol.objective > best[1] + 1e-12:
             best = (sol.x[:n], sol.objective)
     if best is None:
-        raise AssumptionViolated(f"index set {sorted(I)} does not meet the safety set")
+        raise ValidationError(f"index set {sorted(I)} does not meet the safety set")
     y, margin = best
     if margin <= 0.0:
-        raise AssumptionViolated(
+        raise ValidationError(
             f"no interior witness for {sorted(I)}: best margin {margin:.3e}"
         )
     return y, float(margin)
@@ -310,20 +296,19 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     when lp.py's pivoting changes.  Every witness's margin is evaluated at
     the witness: its r row values h_i(y) once, then their minimum over
     each I, so delta is the smallest margin one attains.  Boundedness is
-    read from the spec's stored term extents.  Raises UnboundedPositions
-    if any term is unbounded, AssumptionViolated if a witness fails its
-    strict margin.
+    read from the spec's stored term extents.  Raises ValidationError if
+    any term is unbounded or a witness fails its strict margin.
     """
     for li, lo_hi in enumerate(spec.term_extents):
         if not np.isfinite(lo_hi).all():
-            raise UnboundedPositions(f"term {li} is unbounded")
+            raise ValidationError(f"term {li} is unbounded")
     s_cap = enumerate_s_cap(spec)
     pinned = None if overrides is None else np.asarray(overrides, dtype=float)
     witnesses: dict[frozenset[int], np.ndarray] = {}
     delta = np.inf
     if pinned is not None:
         if not contains(spec, pinned):
-            raise AssumptionViolated("override witness lies outside the safety set")
+            raise ValidationError("override witness lies outside the safety set")
         y, vals = pinned, (pinned @ spec.A.T + spec.offsets).tolist()
     for I in s_cap:
         if pinned is None:
@@ -332,7 +317,7 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
         # a few rows: plain Python beats numpy's per-call cost here
         margin = min(vals[i] for i in I)
         if margin <= 0.0:
-            raise AssumptionViolated(f"witness for {sorted(I)} lacks a positive margin")
+            raise ValidationError(f"witness for {sorted(I)} lacks a positive margin")
         witnesses[I] = y
         delta = min(delta, margin)
     order = sorted(s_cap, key=lambda I: (len(I), sorted(I)))
@@ -347,7 +332,7 @@ def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) axis-aligned bounds of the safety set: the stored term extents' hull."""
     ext = spec.term_extents
     if not np.isfinite(ext).all():
-        raise UnboundedPositions("term unbounded while computing bounds")
+        raise ValidationError("term unbounded while computing bounds")
     return ext[:, 0].min(axis=0), ext[:, 1].max(axis=0)
 
 

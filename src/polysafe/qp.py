@@ -18,9 +18,9 @@ from .cbf import ExtendedCbf, eval_B
 from .errors import (
     Infeasible,
     NonFinite,
-    NotPositiveDefinite,
     NumericalBreakdown,
     ParameterViolation,
+    PolysafeError,
 )
 from .inputs import Unbounded
 from .lp import LpProblem, lp_solve
@@ -51,14 +51,14 @@ class QpProblem:
         if not all(np.isfinite(arr).all() for arr in (P, c, G, h)):
             raise NonFinite("non-finite entries in the QP data")
         if np.linalg.norm(P - P.T) > 1e-10:
-            raise NotPositiveDefinite("cost matrix is not symmetric")
+            raise PolysafeError("cost matrix is not symmetric")
         diag = P.diagonal()
         # a diagonal P with a positive diagonal is PD as it stands
         if not ((diag > 0).all() and np.count_nonzero(P) == diag.size):
             try:
                 np.linalg.cholesky(P)
             except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite("cost matrix failed Cholesky") from exc
+                raise PolysafeError("cost matrix failed Cholesky") from exc
         self.__dict__.update(P=P, c=c, G=G, h=h)  # past the frozen __setattr__
 
     @classmethod

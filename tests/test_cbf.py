@@ -20,8 +20,9 @@ from polysafe.cbf import (
     velocity_bound,
     verify_safety_condition,
 )
-from polysafe.errors import NotInC, ParameterViolation
+from polysafe.errors import ParameterViolation, PolysafeError
 from polysafe.inputs import Box, PolytopicBall, Unbounded
+from polysafe.plant import PlantModel
 from polysafe.polytope import HalfSpace, SafetySpec, compute_cert, hexagon_spec, slab_spec
 
 
@@ -172,8 +173,10 @@ def test_lift_slab_example(slab_cbf):
 
 
 def test_lift_rejects_outside_position(slab_cbf):
-    with pytest.raises(NotInC):
+    with pytest.raises(PolysafeError,
+                       match=r"position outside the safety set \(h = -5\.000e-01\)") as info:
         lift_position(slab_cbf, np.array([1.5]))
+    assert info.type is PolysafeError
 
 
 def test_lift_keeps_thousand_positions_safe(hexagon_cbf):
@@ -281,6 +284,22 @@ def test_sample_boundary_negative_count_raises(hexagon_cbf):
         sample_boundary(hexagon_cbf, -3, seed=1)
 
 
+def test_sample_boundary_skips_empty_facets(hexagon):
+    # x1 <= 10 never binds in the hexagon: its position facet (row 6) and
+    # its velocity companion's (row 13) are empty
+    from polysafe.cbf import _facet_vertices
+
+    far = HalfSpace(np.array([-1.0, 0.0]), 10.0)
+    spec = SafetySpec(halfspaces=hexagon.halfspaces + (far,), terms=(tuple(range(7)),), n=2)
+    cbf = build(spec, compute_cert(spec), 1.0, 0.5)
+    rng = np.random.Generator(np.random.Philox(0))
+    empty = [k for k in range(14) if _facet_vertices(cbf, 0, k, rng, n_lps=12) is None]
+    assert empty == [6, 13]
+    X = sample_boundary(cbf, 50, seed=0)
+    assert X.shape == (50, 4)
+    assert max(abs(eval_B(cbf, x).value) for x in X) <= 1e-9
+
+
 # --- boundary safety condition ------------------------------------------------
 
 def test_condition_fully_actuated_arm(hexagon_cbf, arm):
@@ -297,6 +316,16 @@ def test_condition_infeasible_under_tiny_input_box(hexagon_cbf, arm):
     report = verify_safety_condition(hexagon_cbf, arm,
                                      Box(np.array([1e-6, 1e-6])), X)
     assert not report.all_feasible
+
+
+def test_condition_refuses_a_g2_without_right_inverse(hexagon, hexagon_cert):
+    cbf = build(hexagon, hexagon_cert, 1.0, 0.5)
+    X = sample_boundary(cbf, 20, seed=0)
+    stalled = PlantModel(n=2, m=2, f2=lambda x1, x2: np.zeros(2),
+                         G2=lambda x1: np.zeros((2, 2)))
+    with pytest.raises(PolysafeError, match="G2 not right invertible at sample 6") as info:
+        verify_safety_condition(cbf, stalled, Unbounded(), X)
+    assert info.type is PolysafeError
 
 
 def test_largest_beta_against_analytic_values():

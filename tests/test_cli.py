@@ -1,6 +1,7 @@
 """Command-line exit codes, file outputs, and idempotence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -586,15 +587,34 @@ def test_non_finite_rk4_stage_exit_5(tmp_path, specfile, capsys):
     assert err.startswith("NonFinite: ") and err.count("\n") == 1
 
 
+def _simulate_checked(tmp_path, specfile):
+    plant = {"type": "two_link_arm", "m2": 1e-320}
+    return ["simulate", str(_scenario(tmp_path, specfile, plant=plant)),
+            "--out", str(tmp_path / "r")]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_verify_args("--samples", "50",
+                              plant={"type": "two_link_arm", "m2": 1e-320}), id="verify"),
+    pytest.param(_simulate_checked, id="simulate-pre-check"),
+])
+def test_non_finite_plant_at_a_binding_sample_exit_5(tmp_path, specfile, capsys, argv):
+    # m2 = 1e-320 puts inf in G2: its NaN margin must not read as a failed
+    # condition (exit 4), and pinv must not see it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv(tmp_path, specfile)) == 5
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == "NonFinite: plant G2 or f2 not finite at sample 6\n"
+
+
 # the documented exit code of every exported error class; 4 belongs to the
 # condition check alone
 _EXIT_CODES = {
     "PolysafeError": 5, "ValidationError": 3, "UsageError": 64,
-    "NumericalBreakdown": 5, "EmptySet": 3, "TooManyHalfspaces": 3,
-    "AssumptionViolated": 3, "UnboundedPositions": 3, "ParameterViolation": 2,
-    "NotInC": 5, "EmptyFacet": 5, "NotRightInvertible": 5,
-    "NotPositiveDefinite": 5, "Infeasible": 5, "InsufficientActuation": 2,
-    "SingularInertia": 5, "NoSplit": 5, "QpInfeasibleAt": 5, "NonFinite": 5,
+    "ParameterViolation": 2, "NumericalBreakdown": 5, "EmptySet": 3,
+    "Infeasible": 5, "QpInfeasibleAt": 5, "NonFinite": 5,
 }
 _ERROR_CLASSES = sorted(
     name for name in polysafe.__all__

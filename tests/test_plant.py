@@ -13,7 +13,7 @@ from _oracles import (
 )
 from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
-from polysafe.errors import InsufficientActuation, NonFinite, NoSplit, ValidationError
+from polysafe.errors import NonFinite, ParameterViolation, PolysafeError, ValidationError
 from polysafe.plant import (
     ArmParams,
     PlantModel,
@@ -108,6 +108,14 @@ def test_small_arm_inertia_is_not_singular():
     assert np.linalg.cond(M) < 30
     np.testing.assert_allclose(M @ two_link_arm(params).G2(theta), np.eye(2),
                                rtol=0, atol=1e-12)
+
+
+def test_nearly_massless_first_link_inertia_is_singular():
+    # at theta2 = 0, det M / (m11 m22) is about 2.5e-15, below the 1e-12 floor
+    G2 = two_link_arm(ArmParams(m1=1e-14)).G2
+    with pytest.raises(PolysafeError, match="inertia matrix singular at theta2=0") as info:
+        G2(np.array([0.3, 0.0]))
+    assert info.type is PolysafeError
 
 
 # --- one plant call per RK4 stage, against the f2 + G2 @ u oracle --------------
@@ -285,8 +293,10 @@ def test_constants_require_split(hexagon):
 
     bare = PlantModel(n=2, m=2, f2=lambda a, b: np.zeros(2),
                       G2=lambda a: np.eye(2))
-    with pytest.raises(NoSplit):
+    with pytest.raises(PolysafeError,
+                       match="plant lacks the potential/velocity decomposition") as info:
         estimate_constants(bare, hexagon)
+    assert info.type is PolysafeError
 
 
 def test_constants_converge_with_resolution(hexagon, gravity_constants):
@@ -331,8 +341,10 @@ def test_constants_reject_non_quadratic_velocity_force(spec):
     damped = PlantModel(n=n, m=n, f2=lambda x1, x2: -x2, G2=lambda x1: np.eye(n),
                         f2_potential=lambda x1: np.zeros(n),
                         f2_velocity=lambda x1, x2: -x2)
-    with pytest.raises(NoSplit, match="quadratic"):
+    with pytest.raises(PolysafeError,
+                       match="f2_velocity is not a quadratic form in x2") as info:
         estimate_constants(damped, spec, resolution=10)
+    assert info.type is PolysafeError
 
 
 # --- block scan against the pointwise oracle ----------------------------------
@@ -432,8 +444,9 @@ def test_block_scan_top_three_across_a_block_boundary(monkeypatch):
 def test_select_gamma_insufficient_actuation(hexagon, hexagon_cert,
                                              gravity_constants):
     d = gravity_constants.kG * gravity_constants.k1
-    with pytest.raises(InsufficientActuation):
+    with pytest.raises(ParameterViolation, match=r"d = \S+ <= kG\*k1 = ") as info:
         select_gamma(gravity_constants, d, hexagon, hexagon_cert)
+    assert info.type is ParameterViolation
 
 
 def test_select_gamma_satisfies_condition(hexagon, hexagon_cert,

@@ -17,9 +17,9 @@ from polysafe.cbf import build, eval_B
 from polysafe.errors import (
     Infeasible,
     NonFinite,
-    NotPositiveDefinite,
     NumericalBreakdown,
     ParameterViolation,
+    PolysafeError,
 )
 from polysafe.inputs import Box, Unbounded
 from polysafe.plant import double_integrator
@@ -90,17 +90,20 @@ def test_zero_row_decides_feasibility_alone():
 
 
 def test_not_positive_definite_rejected():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(PolysafeError, match="cost matrix is not symmetric") as info:
         QpProblem(P=np.array([[1.0, 2.0], [0.0, 1.0]]), c=np.zeros(2),
                   G=np.zeros((0, 2)), h=np.zeros(0))
-    with pytest.raises(NotPositiveDefinite):
+    assert info.type is PolysafeError
+    with pytest.raises(PolysafeError, match="cost matrix failed Cholesky") as info:
         QpProblem(P=np.array([[0.0]]), c=np.zeros(1),
                   G=np.zeros((0, 1)), h=np.zeros(0))
+    assert info.type is PolysafeError
     # a diagonal P skips the factorization only with a positive diagonal
     for diag in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(PolysafeError, match="cost matrix failed Cholesky") as info:
             QpProblem(P=np.diag(diag), c=np.zeros(3),
                       G=np.zeros((0, 3)), h=np.zeros(0))
+        assert info.type is PolysafeError
 
 
 def test_matches_bruteforce_on_500_random_instances():
