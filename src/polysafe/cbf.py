@@ -3,9 +3,10 @@
 Each position half-space row a_i @ x1 + b_i contributes a companion
 velocity row a_i @ x2 + gamma * (a_i @ x1 + b_i) - epsilon; the extended
 safe set C^s is the superlevel set of the max-min over both families.
-This module builds that barrier, certifies its compactness and velocity
-bound by LP, lifts safe positions into C^s, samples its boundary, and
-checks the boundary safety condition against a plant.
+This module builds that barrier, certifies its compactness (from the
+spec's term extents) and velocity bound (by LP on the spec's rows),
+lifts safe positions into C^s, samples its boundary, and checks the
+boundary safety condition against a plant.
 """
 
 from __future__ import annotations
@@ -87,12 +88,21 @@ class ExtendedCbf:
     def velocity_extents(self) -> np.ndarray:
         """Per extended term, the 2 x n extents (lo, hi) of the velocity x2.
 
-        2n LPs per term; the positions of an extended term lie in its
-        position term, whose extents the spec already holds.
+        Divided by gamma, the velocity row of half-space i reads
+        a_i @ w + b_i >= rho in w = x1 + x2 / gamma, rho = epsilon / gamma.
+        So an extended term is P x P_rho, its position term P times P shrunk
+        by rho, and its velocities are gamma (P_rho - P): the extents are
+        gamma (lo_rho - hi, hi_rho - lo), with (lo, hi) the spec's stored
+        term extents and (lo_rho, hi_rho) those of P_rho.  2n LPs per term,
+        on the spec's own rows; gamma never enters an LP.
         """
-        n = self.n
-        return np.array([extents(*self.term_rows(ell)[:2], coords=range(n, 2 * n))
-                         for ell in range(len(self.spec.terms))])
+        rho = self.epsilon / self.gamma
+        out = []
+        for ell, (lo, hi) in enumerate(self.spec.term_extents):
+            A, b, _ = self.spec.rows.term_rows(ell)
+            lo_rho, hi_rho = extents(A, b - rho)
+            out.append((self.gamma * (lo_rho - hi), self.gamma * (hi_rho - lo)))
+        return np.array(out)
 
     def to_dict(self) -> dict:
         return {
@@ -100,13 +110,9 @@ class ExtendedCbf:
             "cbf": {"gamma": self.gamma, "epsilon": self.epsilon},
             "cert": {
                 "delta": self.cert.delta,
-                "witnesses": [
-                    {"indices": sorted(i + 1 for i in I), "y": list(y)}
-                    for I, y in sorted(
-                        self.cert.witnesses.items(),
-                        key=lambda kv: (len(kv[0]), sorted(kv[0])),
-                    )
-                ],
+                "witnesses": [{"indices": sorted(i + 1 for i in I),
+                               "y": list(self.cert.witnesses[I])}
+                              for I in self.cert.s_cap],
             },
         }
 
@@ -203,11 +209,7 @@ def cbf_from_dict(d: dict) -> ExtendedCbf:
         frozenset(integer(i, "indices") - 1 for i in e["indices"]): real(e["y"], "y")
         for e in d["cert"]["witnesses"]
     }
-    cert = GeometryCert(
-        s_cap=tuple(sorted(witnesses, key=lambda I: (len(I), sorted(I)))),
-        witnesses=witnesses,
-        delta=real(d["cert"]["delta"], "delta"),
-    )
+    cert = GeometryCert(witnesses=witnesses, delta=real(d["cert"]["delta"], "delta"))
     return build(spec, cert, real(d["cbf"]["gamma"], "gamma"),
                  real(d["cbf"]["epsilon"], "epsilon"))
 
@@ -248,21 +250,13 @@ def lift_position(cbf: ExtendedCbf, x1: np.ndarray) -> np.ndarray:
 
 
 def check_compactness(cbf: ExtendedCbf) -> bool:
-    """True: every extended term is a bounded polytope (finite extents).
+    """True iff every extended term is a bounded polytope.
 
-    An extended term's positions lie in its position term, so its
-    position extents are bounded by the spec's stored term extents and
-    only its velocity extents take LPs.  A certificate exists only for
-    bounded position terms, so an unbounded extended term is an internal
-    inconsistency and raises.
+    An extended term is P x P_rho (see `ExtendedCbf.velocity_extents`), so
+    it is bounded iff its position term P is: the spec's stored term
+    extents answer it, with no LP.
     """
-    unbounded = [ell for ell, (pos, vel) in
-                 enumerate(zip(cbf.spec.term_extents, cbf.velocity_extents))
-                 if not (np.isfinite(pos).all() and np.isfinite(vel).all())]
-    if unbounded:
-        raise PolysafeError(
-            f"extended terms {unbounded} unbounded despite bounded positions")
-    return True
+    return bool(np.isfinite(cbf.spec.term_extents).all())
 
 
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:

@@ -93,8 +93,9 @@ class SafetySpec:
     in index order and `rows` the term rows stacked for `max_min`.
     `term_extents` (terms x 2 x n) holds each term's `extents`, solved
     once (2n LPs per term): an empty term is rejected from those same
-    LPs, and the certificate's boundedness test and the bounding box
-    read them.  All are built once and read-only.
+    LPs, and the certificate's boundedness test, the bounding box and
+    the barrier's compactness and velocity extents read them.  All are
+    built once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -177,12 +178,16 @@ class GeometryCert:
     """Witness points and interior margin certifying the standing assumption.
 
     delta = min over stored (I, i in I) of h_i(y_I) and is strictly
-    positive.
+    positive.  `s_cap` lists the witnessed index sets in canonical order:
+    by size, then by sorted members.
     """
 
-    s_cap: tuple[frozenset[int], ...]
     witnesses: dict[frozenset[int], np.ndarray]
     delta: float
+
+    @property
+    def s_cap(self) -> tuple[frozenset[int], ...]:
+        return tuple(sorted(self.witnesses, key=lambda I: (len(I), sorted(I))))
 
 
 def eval_h(spec: SafetySpec, x1: np.ndarray) -> float:
@@ -199,24 +204,22 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def extents(A: np.ndarray, b: np.ndarray,
-            coords=None) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[k] = min x_j, hi[k] = max x_j over {x | A @ x + b >= 0}
-    for the k-th coordinate j of `coords` (default: all), from the LPs c = +-e_j.
+def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
+    from the LPs c = +-e_j.
 
     An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
     d = A.shape[1]
-    coords = range(d) if coords is None else coords
-    lo, hi = np.empty((2, len(coords)))
-    for k, j in enumerate(coords):
+    lo, hi = np.empty((2, d))
+    for j in range(d):
         for sign, out in ((1.0, hi), (-1.0, lo)):
             c = np.zeros(d)
             c[j] = sign
             sol = lp_solve(LpProblem(c=c, A=A, b=-b))
             if sol.status == "infeasible":
                 raise EmptySet("half-space intersection is empty")
-            out[k] = sol.x[j] if sol.optimal else sign * np.inf
+            out[j] = sol.x[j] if sol.optimal else sign * np.inf
     return lo, hi
 
 
@@ -320,12 +323,7 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
             raise ValidationError(f"witness for {sorted(I)} lacks a positive margin")
         witnesses[I] = y
         delta = min(delta, margin)
-    order = sorted(s_cap, key=lambda I: (len(I), sorted(I)))
-    return GeometryCert(
-        s_cap=tuple(order),
-        witnesses=witnesses,
-        delta=float(delta),
-    )
+    return GeometryCert(witnesses=witnesses, delta=float(delta))
 
 
 def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,14 @@ integrator with unbounded input.
     PYTHONPATH=src python tests/certify_drawn_specs.py
 
 Prints the counts: specs drawn, rejected when built, certified, refused
-by exit code, witnesses, witnesses with h < 0, the worst witness h, and
-the chain's outcomes by error class.  Exits 1 if any spec exits 5
-(numerical breakdown), any witness lies outside C, the condition fails
-at a sample, or the chain raises anything but a NumericalBreakdown (a
-singular simplex basis, counted but not gated).
+by exit code, witnesses, witnesses with h < 0, the worst witness h, the
+chain's outcomes by error class, and the NumericalBreakdowns (a singular
+simplex basis) per step of STEPS.  Exits 1 if any spec exits 5 (a
+breakdown in the certificate included), any witness lies outside C, the
+condition fails at a sample, the chain raises anything but a
+NumericalBreakdown, or a NumericalBreakdown arises in the compactness
+and velocity bound step, whose LPs are the spec's own rows shrunk by
+epsilon / gamma.  Breakdowns in the other steps are counted, not gated.
 """
 
 import collections
@@ -33,29 +36,38 @@ from polysafe.cbf import (  # noqa: E402
     velocity_bound,
     verify_safety_condition,
 )
-from polysafe.errors import PolysafeError  # noqa: E402
+from polysafe.errors import NumericalBreakdown, PolysafeError  # noqa: E402
 from polysafe.inputs import Unbounded  # noqa: E402
 from polysafe.plant import double_integrator  # noqa: E402
 from polysafe.polytope import compute_cert, eval_h  # noqa: E402
 
 SEEDS = range(2001, 2021)
 DRAWS = 50
+STEPS = ("certificate", "compactness and velocity bound", "lift", "sampling",
+         "condition")
 
 
-def chain(spec, cert) -> str:
-    """The rest of the construction on a certified spec: its outcome's key."""
+def chain(spec, cert):
+    """The rest of the construction on a certified spec: yields the name of
+    each step before it runs, and last the outcome's key."""
+    yield "compactness and velocity bound"
     cbf = build(spec, cert, 1.0, cert.delta / 2)
     check_compactness(cbf)
     velocity_bound(cbf)
+    yield "lift"
     for y in cert.witnesses.values():
         lift_position(cbf, y)
+    yield "sampling"
     X = sample_boundary(cbf, 20, 0)
+    yield "condition"
     report = verify_safety_condition(cbf, double_integrator(spec.n), Unbounded(), X)
-    return "chain passed" if report.all_feasible else "chain condition failed"
+    yield "chain passed" if report.all_feasible else "chain condition failed"
 
 
-def certify(counts: collections.Counter, worst: list) -> None:
-    """Draw DRAWS specs under each of SEEDS and tally what compute_cert gives."""
+def certify(counts: collections.Counter, breakdowns: collections.Counter,
+            worst: list) -> None:
+    """Draw DRAWS specs under each of SEEDS and tally what compute_cert and
+    the chain give."""
     def one(data):
         try:   # a draw that fails an `assume` is not counted
             spec = data.draw(bounded_specs())
@@ -68,6 +80,8 @@ def certify(counts: collections.Counter, worst: list) -> None:
             cert = compute_cert(spec)
         except PolysafeError as exc:
             counts[f"exit {exc.exit_code}"] += 1
+            if isinstance(exc, NumericalBreakdown):
+                breakdowns["certificate"] += 1
             return
         counts["certified"] += 1
         h = [eval_h(spec, y) for y in cert.witnesses.values()]
@@ -75,7 +89,11 @@ def certify(counts: collections.Counter, worst: list) -> None:
         counts["witnesses with h < 0"] += sum(v < 0.0 for v in h)
         worst.append(min(h))
         try:
-            counts[chain(spec, cert)] += 1
+            for step in chain(spec, cert):   # on a raise, step names the step
+                pass
+            counts[step] += 1
+        except NumericalBreakdown:
+            breakdowns[step] += 1
         except PolysafeError as exc:
             counts[f"chain {type(exc).__name__}"] += 1
 
@@ -89,14 +107,18 @@ def certify(counts: collections.Counter, worst: list) -> None:
 
 def main() -> int:
     counts: collections.Counter = collections.Counter()
+    breakdowns: collections.Counter = collections.Counter()
     worst: list[float] = []
-    certify(counts, worst)
+    certify(counts, breakdowns, worst)
     for key in sorted(counts):
         print(key, counts[key])
     print("worst witness h", min(worst, default=float("nan")))
-    chain_failures = sum(v for k, v in counts.items() if k.startswith("chain ")
-                         and k not in ("chain passed", "chain NumericalBreakdown"))
-    return 1 if counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures else 0
+    for step in STEPS:
+        print(f"NumericalBreakdown in {step}", breakdowns[step])
+    chain_failures = sum(v for k, v in counts.items()
+                         if k.startswith("chain ") and k != "chain passed")
+    return 1 if (counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures
+                 or breakdowns["compactness and velocity bound"]) else 0
 
 
 if __name__ == "__main__":

@@ -228,6 +228,7 @@ def test_certification_lp_budget(monkeypatch):
     cbf = build(spec, cert, 10.0, 0.1)
     assert len(calls) == 4
     assert check_compactness(cbf)
+    assert len(calls) == 4   # compactness reads the spec's term extents
     velocity_bound(cbf)
     assert len(calls) == 8   # plus the velocity extents, solved once
     position_bounding_box(spec)
@@ -253,6 +254,21 @@ def test_velocity_bound_scales_linearly(hexagon, hexagon_cert):
         scaled = velocity_bound(build(hexagon, hexagon_cert, 10.0 * s, 0.1 * s))
         assert scaled.per_component_bound / s == pytest.approx(
             base.per_component_bound, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0, 3e9, 1e15])
+def test_velocity_extents_analytic(hexagon, hexagon_cert, slab, slab_cert, gamma):
+    # gamma (P_rho - P): the hexagon's |x2_1| <= gamma pi - epsilon and
+    # |x2_2| <= 2 pi gamma - epsilon, the unit slab's |x2| <= 2 gamma - epsilon.
+    # From gamma = 2e9 on, LPs on the gamma-scaled extended rows read these
+    # extents unbounded
+    eps = 0.05
+    ext = build(hexagon, hexagon_cert, gamma, eps).velocity_extents
+    top = [gamma * np.pi - eps, 2 * np.pi * gamma - eps]
+    np.testing.assert_allclose(ext, [[np.negative(top), top]], rtol=1e-12, atol=0.0)
+    ext = build(slab, slab_cert, gamma, eps).velocity_extents
+    np.testing.assert_allclose(ext, [[[-(2 * gamma - eps)], [2 * gamma - eps]]],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_velocity_bound_holds_on_extended_samples(hexagon_cbf):

@@ -63,6 +63,49 @@ def test_construct_zero_offset_companion_row_exit_0(tmp_path):
     assert (tmp_path / "out" / "cbf.json").exists()
 
 
+@pytest.mark.parametrize("gamma, per_component", [("3e9", "1.88495559e+10"),
+                                                  ("1e15", "6.28318531e+15")])
+def test_construct_huge_gamma_exit_0(tmp_path, specfile, capsys, gamma, per_component):
+    # the velocity extents are gamma (P_rho - P), from LPs on the spec's own
+    # rows; LPs on the gamma-scaled rows read them unbounded from 2e9 on
+    code = main(["construct", str(specfile), "--gamma", gamma, "--epsilon", "0.1",
+                 "--witness", "0,0", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"velocity bound: per-component {per_component}," in out
+    assert "c = 8.88576588" in out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the facet LPs of sample_boundary run on the gamma-scaled "
+                          "rows and find every facet empty at gamma = 3e9")
+def test_verify_huge_gamma_samples_the_boundary(tmp_path, specfile, capsys):
+    assert main(["construct", str(specfile), "--gamma", "3e9", "--epsilon", "0.1",
+                 "--witness", "0,0", "--out", str(tmp_path)]) == 0
+    code = main(["verify", str(tmp_path / "cbf.json"), str(_scenario(tmp_path, specfile)),
+                 "--samples", "5", "--out", str(tmp_path)])
+    assert "no nonempty boundary facets found" not in capsys.readouterr().err
+    assert code == 0
+
+
+def test_construct_auto_with_gravity_exit_0(tmp_path, specfile, capsys):
+    code = main(["construct", str(specfile), "--auto", "--d", "400", "--gravity",
+                 "--resolution", "20", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("auto-selected gamma = ")
+    assert (tmp_path / "cbf.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--auto"], "--auto requires --d"),
+    ([], "provide --gamma and --epsilon, or --auto with --d"),
+    (["--gamma", "1"], "provide --gamma and --epsilon, or --auto with --d"),
+])
+def test_construct_without_gamma_exit_64(tmp_path, specfile, capsys, flags, message):
+    assert main(["construct", str(specfile), *flags, "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err == f"UsageError: {message}\n"
+
+
 def test_construct_parameter_violation_exit_2(tmp_path, specfile):
     code = main(["construct", str(specfile), "--gamma", "0.01",
                  "--epsilon", "1", "--out", str(tmp_path)])
@@ -289,6 +332,17 @@ def test_simulate_alpha_dt_above_one_exit_2(tmp_path, specfile):
     code = main(["simulate", str(scenario), "--out", str(tmp_path / "r"),
                  "--skip-verify"])
     assert code == 2
+
+
+def test_simulate_pre_check_failure_exit_4(tmp_path, specfile, capsys):
+    # a 1e-6 box leaves no admissible witness input at the binding samples
+    scenario = _scenario(
+        tmp_path, specfile,
+        controller={**_TRACKING, "input_set": {"type": "box", "limits": [1e-6, 1e-6]}})
+    out = tmp_path / "r"
+    assert main(["simulate", str(scenario), "--out", str(out)]) == 4
+    assert capsys.readouterr().out.startswith("boundary condition failed pre-check")
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_simulate_runtime_infeasibility_exit_5(tmp_path, specfile):

@@ -133,8 +133,16 @@ def test_random_geometry_stored_extents_match_the_lps(data):
         assert cert.delta == attained
     for gamma in (1.0, 3.0):
         cbf = build(spec, certs[0], gamma, certs[0].delta / 2)
+        rho = cbf.epsilon / gamma
+        for ell in range(len(spec.terms)):   # gamma (P_rho - P), bit for bit
+            A, b, _ = spec.rows.term_rows(ell)
+            shrunk = np.array(extents(A, b - rho))
+            product = gamma * (shrunk - spec.term_extents[ell][::-1])
+            assert cbf.velocity_extents[ell].tobytes() == product.tobytes()
+        # the LPs over the extended term's 2n coordinates agree to round-off
         full = extended_extents_full(cbf)
-        velocity = full[:, :, spec.n:]
-        assert cbf.velocity_extents.tobytes() == velocity.tobytes()
+        np.testing.assert_allclose(cbf.velocity_extents, full[:, :, spec.n:],
+                                   rtol=1e-12, atol=0.0)
         assert check_compactness(cbf) == bool(np.isfinite(full).all())
-        assert velocity_bound(cbf).per_component_bound == np.abs(velocity).max()
+        assert (velocity_bound(cbf).per_component_bound
+                == np.abs(cbf.velocity_extents).max())

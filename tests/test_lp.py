@@ -48,6 +48,18 @@ def test_infeasible():
     assert sol.x is None
 
 
+def test_infeasible_primal_with_infeasible_dual():
+    # max x1 + x2 s.t. x1 - x2 >= 1 and x2 - x1 >= 1: the dual
+    # mu1 - mu2 = -1, mu2 - mu1 = -1 is infeasible too, so phase 1 fails
+    # and the feasibility LP tells an empty primal from an unbounded one
+    A, b, c = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 1.0]), np.ones(2)
+    sol = lp_solve(LpProblem(c=c, A=A, b=b))
+    assert sol.status == "infeasible"
+    assert sol.x is None
+    ref = linprog(-c, A_ub=-A, b_ub=-b, bounds=[(None, None)] * 2, method="highs")
+    assert ref.status == 2   # scipy: infeasible
+
+
 def test_unbounded_with_ray():
     sol = lp_solve(LpProblem(c=np.array([1.0]), A=np.array([[1.0]]),
                              b=np.array([0.0])))
