@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonFinite, ParameterViolation, PolysafeError, integer, real
 from .lp import LpProblem, lp_solve, lp_feasible_point
-from .polytope import GeometryCert, SafetySpec, TermRows, extents, max_min
+from .polytope import GeometryCert, SafetySpec, TermRows, max_min, shrunk_extents
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -94,13 +94,13 @@ class ExtendedCbf:
         by rho, and its velocities are gamma (P_rho - P): the extents are
         gamma (lo_rho - hi, hi_rho - lo), with (lo, hi) the spec's stored
         term extents and (lo_rho, hi_rho) those of P_rho.  2n LPs per term,
-        on the spec's own rows; gamma never enters an LP.
+        the spec's own with b shifted (`shrunk_extents`), so each skips phase
+        1 and starts from the spec's stored bases; gamma never enters an LP.
         """
         rho = self.epsilon / self.gamma
         out = []
         for ell, (lo, hi) in enumerate(self.spec.term_extents):
-            A, b, _ = self.spec.rows.term_rows(ell)
-            lo_rho, hi_rho = extents(A, b - rho)
+            lo_rho, hi_rho = shrunk_extents(self.spec, ell, rho)
             out.append((self.gamma * (lo_rho - hi), self.gamma * (hi_rho - lo)))
         return np.array(out)
 

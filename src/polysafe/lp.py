@@ -22,11 +22,14 @@ step is unbounded), and of the rows within 1e-12 of the shortest ratio
 the one with the smallest basis index leaves, Bland's anti-cycling
 tie-break.  Phase 2's reduced costs are the residuals a_i @ x - b_i, so
 its optimality test (OPT_TOL) makes an optimal x meet every row to about
-1e-12.  tests/test_lp.py checks all this against scipy and by hand.
+1e-12.  Phase 1 reads only (A, c) and stops once no artificial is basic;
+a solve with the same (A, c) skips it, given its last basis as `start`.
+tests/test_lp.py checks all this against scipy and by hand.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +71,8 @@ class LpSolution:
     For an `optimal` solve, `dual` holds multipliers mu >= 0
     with c + A.T @ mu = 0 and mu_i * (a_i @ x - b_i) = 0; the dual
     objective is -b @ mu.  For `unbounded`, `ray` is an improving
-    direction (inf-norm 1) that stays feasible.
+    direction (inf-norm 1) that stays feasible.  `start` is the dual basis
+    phase 1 ended at (None if it found no dual solution or dropped a row).
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -76,6 +80,7 @@ class LpSolution:
     objective: float | None = None
     dual: np.ndarray | None = None
     ray: np.ndarray | None = None
+    start: tuple[int, ...] | None = None
 
     @property
     def optimal(self) -> bool:
@@ -92,16 +97,19 @@ class _Tableau:
     basis: list[int] = field(default_factory=list)
 
 
-def _simplex_core(t: _Tableau, tol: float):
+def _simplex_core(t: _Tableau, tol: float, n_real: int | None = None):
     """Run primal simplex on a tableau with a feasible starting basis.
 
-    The basis is optimal once no reduced cost is below -tol.  Returns
+    The basis is optimal once no reduced cost is below -tol, or once it
+    holds no column >= n_real, if given (then xB and y read None).  Returns
     ("optimal", xB, y) or ("unbounded", entering_col, direction_d).
     """
     As, bs, cs = t.As, t.bs, t.cs
     bland = False
     degenerate = 0
     for _ in range(_MAX_ITER):
+        if n_real is not None and max(t.basis, default=-1) < n_real:
+            return "optimal", None, None
         try:
             Binv = np.linalg.inv(As[:, t.basis])
         except np.linalg.LinAlgError as exc:
@@ -138,7 +146,7 @@ def _simplex_core(t: _Tableau, tol: float):
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
-def lp_solve(p: LpProblem) -> LpSolution:
+def lp_solve(p: LpProblem, start: tuple[int, ...] | None = None) -> LpSolution:
     """Solve a dense LP; see LpProblem/LpSolution for conventions."""
     c, A, b = p.c, p.A, p.b
     m, n = A.shape
@@ -147,47 +155,56 @@ def lp_solve(p: LpProblem) -> LpSolution:
     # so that its right-hand side |c_j| is nonnegative
     sign = np.where(c > 0, -1.0, 1.0)
     bs = np.abs(c)
+    As = sign[:, None] * A.T
 
-    # phase 1: one artificial per dual row, written beside the dual's columns
-    A1 = np.eye(n, m + n, m)
-    As = A1[:, :m] = sign[:, None] * A.T
-    c1 = np.zeros(m + n)
-    c1[m:] = 1.0
-    t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
-    status, xB, y = _simplex_core(t, FEAS_TOL)
-    assert status == "optimal"  # phase 1 is always bounded below by 0
-    if c1[t.basis] @ xB > 1e-7:
-        # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
-        # c @ ray > 0, so the LP is unbounded unless it is infeasible
-        if lp_feasible_point(A, b) is None:
-            return LpSolution(status="infeasible")
-        return LpSolution(status="unbounded", ray=-sign * y / np.abs(y).max())
-
-    # drive leftover (degenerate) artificials out of the basis; one that
-    # cannot leave marks its own dual row as redundant
     keep = np.ones(n, dtype=bool)
-    for art in [j for j in t.basis if j >= m]:
-        k = t.basis.index(art)
-        tab_row = np.linalg.solve(A1[np.ix_(keep, t.basis)], As[keep])[k]
-        entering = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-9)
-                    if j not in t.basis]
-        if entering:
-            t.basis[k] = int(entering[0])
-        else:
-            keep[art - m] = False
-            del t.basis[k]
+    basis = None   # phase 1 finds one unless `start` is a feasible basis of the dual
+    if start is not None and len(set(start).intersection(range(m))) == len(start) == n:
+        with contextlib.suppress(np.linalg.LinAlgError):   # a singular start is ignored
+            if (np.linalg.solve(As[:, list(start)], bs) >= -FEAS_TOL).all():
+                basis = list(start)
+    if basis is None:
+        # phase 1: one artificial per dual row, written beside the dual's columns
+        A1 = np.eye(n, m + n, m)
+        A1[:, :m] = As
+        c1 = np.zeros(m + n)
+        c1[m:] = 1.0
+        t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
+        status, xB, y = _simplex_core(t, FEAS_TOL, m)
+        assert status == "optimal"  # phase 1 is always bounded below by 0
+        if xB is not None and c1[t.basis] @ xB > 1e-7:
+            # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
+            # c @ ray > 0, so the LP is unbounded unless it is infeasible
+            if lp_feasible_point(A, b) is None:
+                return LpSolution(status="infeasible")
+            return LpSolution(status="unbounded", ray=-sign * y / np.abs(y).max())
+
+        # drive leftover (degenerate) artificials out of the basis; one that
+        # cannot leave marks its own dual row as redundant
+        for art in [j for j in t.basis if j >= m]:
+            k = t.basis.index(art)
+            tab_row = np.linalg.solve(A1[np.ix_(keep, t.basis)], As[keep])[k]
+            entering = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-9)
+                        if j not in t.basis]
+            if entering:
+                t.basis[k] = int(entering[0])
+            else:
+                keep[art - m] = False
+                del t.basis[k]
+        basis = t.basis
+    start = tuple(basis) if keep.all() else None
 
     # phase 2: an unbounded dual means an empty primal
-    t2 = _Tableau(As[keep], bs[keep], -b, basis=t.basis)
+    t2 = _Tableau(As[keep], bs[keep], -b, basis=basis)
     status, xB, y = _simplex_core(t2, OPT_TOL)
     if status == "unbounded":
-        return LpSolution(status="infeasible")
+        return LpSolution(status="infeasible", start=start)
     # x is the dual's simplex multipliers, unsigned; mu its basic solution
     x = np.zeros(n)
     x[keep] = -sign[keep] * y
     mu = np.zeros(m)
     mu[t2.basis] = xB
-    return LpSolution(status="optimal", x=x, objective=float(c @ x), dual=mu)
+    return LpSolution("optimal", x, float(c @ x), mu, start=start)
 
 
 def lp_feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

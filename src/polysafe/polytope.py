@@ -94,8 +94,9 @@ class SafetySpec:
     `term_extents` (terms x 2 x n) holds each term's `extents`, solved
     once (2n LPs per term): an empty term is rejected from those same
     LPs, and the certificate's boundedness test, the bounding box and
-    the barrier's compactness and velocity extents read them.  All are
-    built once and read-only.
+    the barrier's compactness and velocity extents read them, and
+    `term_starts` their phase-1 bases (`shrunk_extents`).  All are built
+    once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -131,17 +132,19 @@ class SafetySpec:
                 f"half-spaces {i} and {j} have dependent augmented vectors"
             )
         rows = TermRows(A, offsets, terms)
-        ext = []
+        solved = []
         for li in range(len(terms)):
             try:
-                ext.append(extents(*rows.term_rows(li)[:2]))
+                solved.append(_extents(*rows.term_rows(li)[:2]))
             except EmptySet:
                 raise ValidationError(f"term {li} is an empty intersection") from None
+        ext, starts = zip(*solved)
         for name, arr in (("A", A), ("offsets", offsets),
                           ("term_extents", np.array(ext))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "term_starts", starts)
 
     @property
     def r(self) -> int:
@@ -206,21 +209,35 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
 
 def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
-    from the LPs c = +-e_j.
+    from the LPs c = +-e_j, each with its phase 1 (`shrunk_extents` skips it).
 
     An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
+    return _extents(A, b)[0]
+
+
+def _extents(A, b, starts=None):
+    """`extents` with LP k started from starts[k], and the LPs' `start`s."""
     d = A.shape[1]
     lo, hi = np.empty((2, d))
+    found = []
     for j in range(d):
         for sign, out in ((1.0, hi), (-1.0, lo)):
             c = np.zeros(d)
             c[j] = sign
-            sol = lp_solve(LpProblem(c=c, A=A, b=-b))
+            sol = lp_solve(LpProblem(c=c, A=A, b=-b), starts and starts[len(found)])
+            found.append(sol.start)
             if sol.status == "infeasible":
                 raise EmptySet("half-space intersection is empty")
             out[j] = sol.x[j] if sol.optimal else sign * np.inf
-    return lo, hi
+    return (lo, hi), tuple(found)
+
+
+def shrunk_extents(spec: SafetySpec, ell: int, rho: float):
+    """`extents` of term ell shrunk by rho (rows a_i @ x + b_i >= rho), in
+    phase 2 only: its LPs start from the spec's `term_starts`."""
+    A, b, _ = spec.rows.term_rows(ell)
+    return _extents(A, b - rho, spec.term_starts[ell])[0]
 
 
 def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
@@ -232,13 +249,14 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
     """
     if spec.r > ENUMERATION_CAP:
         raise ValidationError(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
-    cache = {frozenset(t): True for t in spec.terms}
+    term_sets = [frozenset(t) for t in spec.terms]
+    cache = dict.fromkeys(term_sets, True)
     result = []
     for size in range(1, spec.r + 1):
         for combo in itertools.combinations(range(spec.r), size):
             I = frozenset(combo)
-            for t in spec.terms:
-                union = I | frozenset(t)
+            for t in term_sets:
+                union = I | t
                 if union not in cache:
                     idx = sorted(union)
                     cache[union] = lp_feasible_point(
@@ -307,13 +325,16 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
             raise ValidationError(f"term {li} is unbounded")
     s_cap = enumerate_s_cap(spec)
     pinned = None if overrides is None else np.asarray(overrides, dtype=float)
-    witnesses: dict[frozenset[int], np.ndarray] = {}
-    delta = np.inf
     if pinned is not None:
         if not contains(spec, pinned):
             raise ValidationError("override witness lies outside the safety set")
         y, vals = pinned, (pinned @ spec.A.T + spec.offsets).tolist()
-    for I in s_cap:
+        delta = min(vals[i] for i in frozenset().union(*s_cap))   # the rows s_cap covers
+        if delta > 0.0:
+            return GeometryCert(witnesses=dict.fromkeys(s_cap, y), delta=float(delta))
+    witnesses: dict[frozenset[int], np.ndarray] = {}
+    delta = np.inf
+    for I in s_cap:   # if pinned, only to name the index set that fails
         if pinned is None:
             y = max_min_point(spec, I)[0]
             vals = (y @ spec.A.T + spec.offsets).tolist()

@@ -3,25 +3,30 @@ under each of the seeds 2001-2020, each through `compute_cert`, and each
 certified one through the rest of the chain: the barrier at gamma = 1,
 epsilon = delta / 2, its compactness and velocity bound, a lift of every
 witness, 20 boundary samples and the safety condition for a double
-integrator with unbounded input.
+integrator with unbounded input.  Each barrier's velocity extents are
+solved again by `extents` LPs with no start, each running phase 1, and
+compared bit for bit with the barrier's own, whose LPs skip phase 1.
 
     PYTHONPATH=src python tests/certify_drawn_specs.py
 
 Prints the counts: specs drawn, rejected when built, certified, refused
 by exit code, witnesses, witnesses with h < 0, the worst witness h, the
+velocity extents compared with their cold solve and how many differ, the
 chain's outcomes by error class, and the NumericalBreakdowns (a singular
 simplex basis) per step of STEPS.  Exits 1 if any spec exits 5 (a
-breakdown in the certificate included), any witness lies outside C, the
-condition fails at a sample, the chain raises anything but a
-NumericalBreakdown, or a NumericalBreakdown arises in the compactness
-and velocity bound step, whose LPs are the spec's own rows shrunk by
-epsilon / gamma.  Breakdowns in the other steps are counted, not gated.
+breakdown in the certificate included), any witness lies outside C, any
+velocity extents differ from their cold solve, the condition fails at a
+sample, the chain raises anything but a NumericalBreakdown, or a
+NumericalBreakdown arises in the compactness and velocity bound step,
+whose LPs are the spec's own rows shrunk by epsilon / gamma.  Breakdowns
+in the other steps are counted, not gated.
 """
 
 import collections
 import os
 import sys
 
+import numpy as np
 from hypothesis import HealthCheck, Phase, given, seed, settings
 from hypothesis import strategies as st
 
@@ -39,7 +44,7 @@ from polysafe.cbf import (  # noqa: E402
 from polysafe.errors import NumericalBreakdown, PolysafeError  # noqa: E402
 from polysafe.inputs import Unbounded  # noqa: E402
 from polysafe.plant import double_integrator  # noqa: E402
-from polysafe.polytope import compute_cert, eval_h  # noqa: E402
+from polysafe.polytope import compute_cert, eval_h, extents  # noqa: E402
 
 SEEDS = range(2001, 2021)
 DRAWS = 50
@@ -47,13 +52,26 @@ STEPS = ("certificate", "compactness and velocity bound", "lift", "sampling",
          "condition")
 
 
-def chain(spec, cert):
+def cold_velocity_extents(cbf) -> np.ndarray:
+    """`cbf.velocity_extents` from `extents` LPs with no start."""
+    rho = cbf.epsilon / cbf.gamma
+    out = []
+    for ell, lo_hi in enumerate(cbf.spec.term_extents):
+        A, b, _ = cbf.spec.rows.term_rows(ell)
+        out.append(cbf.gamma * (np.array(extents(A, b - rho)) - lo_hi[::-1]))
+    return np.array(out)
+
+
+def chain(spec, cert, counts: collections.Counter):
     """The rest of the construction on a certified spec: yields the name of
     each step before it runs, and last the outcome's key."""
     yield "compactness and velocity bound"
     cbf = build(spec, cert, 1.0, cert.delta / 2)
     check_compactness(cbf)
     velocity_bound(cbf)
+    counts["velocity extents compared with their cold solve"] += 1
+    counts["velocity extents differing from their cold solve"] += (
+        cbf.velocity_extents.tobytes() != cold_velocity_extents(cbf).tobytes())
     yield "lift"
     for y in cert.witnesses.values():
         lift_position(cbf, y)
@@ -89,7 +107,7 @@ def certify(counts: collections.Counter, breakdowns: collections.Counter,
         counts["witnesses with h < 0"] += sum(v < 0.0 for v in h)
         worst.append(min(h))
         try:
-            for step in chain(spec, cert):   # on a raise, step names the step
+            for step in chain(spec, cert, counts):   # on a raise, step names the step
                 pass
             counts[step] += 1
         except NumericalBreakdown:
@@ -118,6 +136,7 @@ def main() -> int:
     chain_failures = sum(v for k, v in counts.items()
                          if k.startswith("chain ") and k != "chain passed")
     return 1 if (counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures
+                 or counts["velocity extents differing from their cold solve"]
                  or breakdowns["compactness and velocity bound"]) else 0
 
 

@@ -209,21 +209,30 @@ def test_compactness_accepts_a_zero_offset_companion_row():
 
 def test_certification_lp_budget(monkeypatch):
     # every LP of the package goes through one of these names; one call is
-    # one LP, the feasibility check an infeasible phase 1 starts included
+    # one LP, the feasibility check an infeasible phase 1 starts included.
+    # Phase 1 runs only in a solve without a start: the velocity LPs start
+    # from the bases stored with the spec's term extents
     from polysafe import cbf as pcbf, lp as plp, polytope as ppoly
     from polysafe.polytope import position_bounding_box
 
-    calls = []
-    solve = plp.lp_solve
+    calls, phase1 = [], []
+    solve, core = plp.lp_solve, plp._simplex_core
 
-    def counting(problem):
-        calls.append(problem)
-        return solve(problem)
+    def counting(problem, start=None):
+        calls.append(start)
+        return solve(problem, start)
+
+    def counting_core(t, tol, n_real=None):
+        if n_real is not None:   # phase 1, from the artificials
+            phase1.append(t)
+        return core(t, tol, n_real)
 
     for module in (plp, ppoly, pcbf):
         monkeypatch.setattr(module, "lp_solve", counting)
+    monkeypatch.setattr(plp, "_simplex_core", counting_core)
     spec = hexagon_spec()
     assert len(calls) == 4   # the term's extents, which also show it nonempty
+    assert calls == [None] * 4 and len(phase1) == 4
     cert = compute_cert(spec, overrides=np.zeros(2))
     cbf = build(spec, cert, 10.0, 0.1)
     assert len(calls) == 4
@@ -231,12 +240,16 @@ def test_certification_lp_budget(monkeypatch):
     assert len(calls) == 4   # compactness reads the spec's term extents
     velocity_bound(cbf)
     assert len(calls) == 8   # plus the velocity extents, solved once
+    assert None not in calls[4:] and len(phase1) == 4   # phase 2 only
+    for gamma, eps in ((1.0, 0.5), (3.0, 0.2), (100.0, 1.0)):
+        velocity_bound(build(spec, cert, gamma, eps))
+    assert len(calls) == 20 and len(phase1) == 4   # every barrier on the spec
     position_bounding_box(spec)
-    assert len(calls) == 8
+    assert len(calls) == 20
     # unpinned, each of the 63 index sets' witnesses is one margin LP's
     # vertex; the one term covers every index set, so no feasibility LP runs
     compute_cert(spec)
-    assert len(calls) == 8 + 63
+    assert len(calls) == 20 + 63 and len(phase1) == 4 + 63
 
 
 def test_velocity_bound_slab_analytic(slab, slab_cert):
