@@ -49,9 +49,11 @@ class ExtendedCbf:
                 f"epsilon = {self.epsilon:.6g}"
             )
         # built once: the barrier is evaluated at every control step
-        A, b = self.spec.A, self.spec.offsets
+        A, b, r, n = self.spec.A, self.spec.offsets, self.r, self.n
+        A_ext = np.zeros((2 * r, 2 * n))   # [[A, 0], [gamma A, A]]
+        A_ext[:r, :n] = A_ext[r:, n:] = A
         with np.errstate(over="ignore"):   # an overflow is refused below
-            A_ext = np.block([[A, np.zeros_like(A)], [self.gamma * A, A]])
+            A_ext[r:, :n] = self.gamma * A
             b_ext = np.concatenate([b, self.gamma * b - self.epsilon])
         if not (np.isfinite(A_ext).all() and np.isfinite(b_ext).all()):
             raise ParameterViolation(

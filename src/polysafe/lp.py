@@ -15,15 +15,18 @@ basic solution.  Each simplex iteration inverts its basis afresh, and
 the basic solution, the multipliers and the entering column are products
 with that inverse; an inverse updated pivot by pivot gathers error, and
 then calls a basis optimal whose x misses a row by far more than the
-tolerance.  Instances here are tiny (a few variables, tens of rows), so
-the ratio test is one pass in Python floats over the entering column d:
-each row with d > PIVOT_TOL blocks at max(xB, 0) / d (no such row: the
-step is unbounded), and of the rows within 1e-12 of the shortest ratio
-the one with the smallest basis index leaves, Bland's anti-cycling
-tie-break.  Phase 2's reduced costs are the residuals a_i @ x - b_i, so
-its optimality test (OPT_TOL) makes an optimal x meet every row to about
-1e-12.  Phase 1 reads only (A, c) and stops once no artificial is basic;
-a solve with the same (A, c) skips it, given its last basis as `start`.
+tolerance.  Two first bases come with their inverse: phase 1's is the
+identity, never inverted, and a start's is inverted once, for its
+feasibility test.  Instances here are tiny (a few variables, tens of
+rows), so the ratio test is one pass in Python floats over the entering
+column d: each row with d > PIVOT_TOL blocks at max(xB, 0) / d (no such
+row: the step is unbounded), and of the rows within 1e-12 of the
+shortest ratio the one with the smallest basis index leaves, Bland's
+anti-cycling tie-break.  Phase 2's reduced costs are the residuals
+a_i @ x - b_i, so its optimality test (OPT_TOL) makes an optimal x meet
+every row to about 1e-12.  Phase 1 reads only (A, c) and stops once no
+artificial is basic; a solve with the same (A, c) skips it, given its
+last basis as `start`.
 tests/test_lp.py checks all this against scipy and by hand.
 """
 
@@ -59,9 +62,13 @@ class LpProblem:
             raise ValueError(f"shape mismatch: A{A.shape}, b({b.size},), c({c.size},)")
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("non-finite coefficients in LP data")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(c=c, A=A, b=b)  # past the frozen __setattr__
+
+    @classmethod
+    def _over(cls, c, A, b):  # float arrays of matching shapes, checked finite before
+        p = object.__new__(cls)
+        p.__dict__.update(c=c, A=A, b=b)
+        return p
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,14 @@ class LpSolution:
 
 @dataclass
 class _Tableau:
-    """Equality-form data  min cs @ z, As @ z = bs, z >= 0  with bs >= 0."""
+    """Equality-form data  min cs @ z, As @ z = bs, z >= 0  with bs >= 0, and
+    `Binv`, As[:, basis]'s inverse if known, for the first iteration only."""
 
     As: np.ndarray
     bs: np.ndarray
     cs: np.ndarray
     basis: list[int] = field(default_factory=list)
+    Binv: np.ndarray | None = None
 
 
 def _simplex_core(t: _Tableau, tol: float, n_real: int | None = None):
@@ -110,10 +119,12 @@ def _simplex_core(t: _Tableau, tol: float, n_real: int | None = None):
     for _ in range(_MAX_ITER):
         if n_real is not None and max(t.basis, default=-1) < n_real:
             return "optimal", None, None
-        try:
-            Binv = np.linalg.inv(As[:, t.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown("singular basis in simplex") from exc
+        Binv, t.Binv = t.Binv, None
+        if Binv is None:
+            try:
+                Binv = np.linalg.inv(As[:, t.basis])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdown("singular basis in simplex") from exc
         xB = Binv @ bs
         y = cs[t.basis] @ Binv
         reduced = cs - As.T @ y
@@ -158,18 +169,18 @@ def lp_solve(p: LpProblem, start: tuple[int, ...] | None = None) -> LpSolution:
     As = sign[:, None] * A.T
 
     keep = np.ones(n, dtype=bool)
-    basis = None   # phase 1 finds one unless `start` is a feasible basis of the dual
+    basis = Binv = None   # phase 1 finds a basis unless `start` is a feasible one
     if start is not None and len(set(start).intersection(range(m))) == len(start) == n:
         with contextlib.suppress(np.linalg.LinAlgError):   # a singular start is ignored
-            if (np.linalg.solve(As[:, list(start)], bs) >= -FEAS_TOL).all():
-                basis = list(start)
+            Binv = np.linalg.inv(As[:, list(start)])   # phase 2's first inverse
+            basis = list(start) if (Binv @ bs >= -FEAS_TOL).all() else None
     if basis is None:
         # phase 1: one artificial per dual row, written beside the dual's columns
         A1 = np.eye(n, m + n, m)
         A1[:, :m] = As
         c1 = np.zeros(m + n)
         c1[m:] = 1.0
-        t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)))
+        t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)), Binv=np.eye(n))
         status, xB, y = _simplex_core(t, FEAS_TOL, m)
         assert status == "optimal"  # phase 1 is always bounded below by 0
         if xB is not None and c1[t.basis] @ xB > 1e-7:
@@ -191,17 +202,20 @@ def lp_solve(p: LpProblem, start: tuple[int, ...] | None = None) -> LpSolution:
             else:
                 keep[art - m] = False
                 del t.basis[k]
-        basis = t.basis
+        basis, Binv = t.basis, None   # not a rejected start's inverse
     start = tuple(basis) if keep.all() else None
+    if start is None:   # a redundant dual row was dropped
+        As, bs = As[keep], bs[keep]
 
     # phase 2: an unbounded dual means an empty primal
-    t2 = _Tableau(As[keep], bs[keep], -b, basis=basis)
+    t2 = _Tableau(As, bs, -b, basis=basis, Binv=Binv)
     status, xB, y = _simplex_core(t2, OPT_TOL)
     if status == "unbounded":
         return LpSolution(status="infeasible", start=start)
     # x is the dual's simplex multipliers, unsigned; mu its basic solution
-    x = np.zeros(n)
-    x[keep] = -sign[keep] * y
+    x = -sign * y if start is not None else np.zeros(n)
+    if start is None:
+        x[keep] = -sign[keep] * y
     mu = np.zeros(m)
     mu[t2.basis] = xB
     return LpSolution("optimal", x, float(c @ x), mu, start=start)

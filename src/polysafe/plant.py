@@ -222,7 +222,7 @@ def two_link_arm(params: ArmParams) -> PlantModel:
     def _inverse_inertia(theta):
         m11, m12, m21, m22 = _inertia(c, theta)
         det = m11 * m22 - m12 * m21
-        if abs(det) < 1e-12 * m11 * m22:   # relative: M scales with m l^2
+        if abs(det) <= 1e-12 * m11 * m22:   # relative: M scales with m l^2; 0 <= 0 too
             raise PolysafeError(f"inertia matrix singular at theta2={theta[1]:.4g}")
         return m22 / det, -m12 / det, -m21 / det, m11 / det
 

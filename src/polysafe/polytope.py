@@ -14,6 +14,7 @@ All index sets are 0-based internally; the JSON serialization uses
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,11 @@ class HalfSpace:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if not np.isfinite(a).all() or np.linalg.norm(a) == 0.0:
+        vals = a.ravel().tolist()   # numpy's norm is sqrt(a @ a): 0 iff every v * v is
+        if not all(map(math.isfinite, vals)) or not any(v * v for v in vals):
             raise ValidationError("half-space direction must be finite and nonzero")
         b = float(self.b)
-        if b == 0.0 or not np.isfinite(b):
+        if b == 0.0 or not math.isfinite(b):
             raise ValidationError("half-space offset must be finite and nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -217,15 +219,17 @@ def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extents(A, b, starts=None):
-    """`extents` with LP k started from starts[k], and the LPs' `start`s."""
+    """`extents` with LP k started from starts[k], and the LPs' `start`s.
+    (A, b) is checked once, and the 2n LPs are built over the checked data."""
     d = A.shape[1]
     lo, hi = np.empty((2, d))
     found = []
+    p = LpProblem(c=np.zeros(d), A=A, b=-b)
     for j in range(d):
         for sign, out in ((1.0, hi), (-1.0, lo)):
             c = np.zeros(d)
             c[j] = sign
-            sol = lp_solve(LpProblem(c=c, A=A, b=-b), starts and starts[len(found)])
+            sol = lp_solve(LpProblem._over(c, p.A, p.b), starts and starts[len(found)])
             found.append(sol.start)
             if sol.status == "infeasible":
                 raise EmptySet("half-space intersection is empty")
@@ -256,7 +260,7 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
         for combo in itertools.combinations(range(spec.r), size):
             I = frozenset(combo)
             for t in term_sets:
-                union = I | t
+                union = t if I <= t else I | t   # I inside a term: the term itself
                 if union not in cache:
                     idx = sorted(union)
                     cache[union] = lp_feasible_point(

@@ -19,10 +19,14 @@ velocity extents differ from their cold solve, the condition fails at a
 sample, the chain raises anything but a NumericalBreakdown, or a
 NumericalBreakdown arises in the compactness and velocity bound step,
 whose LPs are the spec's own rows shrunk by epsilon / gamma.  Breakdowns
-in the other steps are counted, not gated.
+in the other steps are counted, not gated.  Last it prints the number of
+`lp_solve` calls and a sha256 over every result in call order (status,
+start, x, dual, ray and objective), so that two trees whose LPs should
+agree bit for bit can be compared by one line; the digest is not gated.
 """
 
 import collections
+import hashlib
 import os
 import sys
 
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_geometry_properties import bounded_specs  # noqa: E402
 
+from polysafe import cbf as pcbf, lp as plp, polytope as ppoly, qp as pqp  # noqa: E402
 from polysafe.cbf import (  # noqa: E402
     build,
     check_compactness,
@@ -50,6 +55,24 @@ SEEDS = range(2001, 2021)
 DRAWS = 50
 STEPS = ("certificate", "compactness and velocity bound", "lift", "sampling",
          "condition")
+
+
+def hash_lp_results(digest) -> list:
+    """Route every module's `lp_solve` through a wrapper that feeds each
+    result to `digest`, in call order; returns the one-item call counter."""
+    solve, calls = plp.lp_solve, [0]
+
+    def hashed(problem, start=None):
+        sol = solve(problem, start)
+        calls[0] += 1
+        digest.update(repr((sol.status, sol.start)).encode())
+        for v in (sol.x, sol.dual, sol.ray, sol.objective):
+            digest.update(b"None" if v is None else np.asarray(v, dtype=float).tobytes())
+        return sol
+
+    for module in (plp, ppoly, pcbf, pqp):
+        module.lp_solve = hashed
+    return calls
 
 
 def cold_velocity_extents(cbf) -> np.ndarray:
@@ -127,12 +150,15 @@ def main() -> int:
     counts: collections.Counter = collections.Counter()
     breakdowns: collections.Counter = collections.Counter()
     worst: list[float] = []
+    digest = hashlib.sha256()
+    calls = hash_lp_results(digest)
     certify(counts, breakdowns, worst)
     for key in sorted(counts):
         print(key, counts[key])
     print("worst witness h", min(worst, default=float("nan")))
     for step in STEPS:
         print(f"NumericalBreakdown in {step}", breakdowns[step])
+    print("lp_solve calls", calls[0], "sha256", digest.hexdigest())
     chain_failures = sum(v for k, v in counts.items()
                          if k.startswith("chain ") and k != "chain passed")
     return 1 if (counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures

@@ -211,12 +211,16 @@ def test_certification_lp_budget(monkeypatch):
     # every LP of the package goes through one of these names; one call is
     # one LP, the feasibility check an infeasible phase 1 starts included.
     # Phase 1 runs only in a solve without a start: the velocity LPs start
-    # from the bases stored with the spec's term extents
+    # from the bases stored with the spec's term extents.  `lapack` counts
+    # basis inversions and solves, which only lp.py makes here: phase 1's
+    # first basis is the identity and is never inverted, and a start is
+    # inverted once, for its test and for phase 2's first iteration
     from polysafe import cbf as pcbf, lp as plp, polytope as ppoly
     from polysafe.polytope import position_bounding_box
 
-    calls, phase1 = [], []
+    calls, phase1, lapack = [], [], []
     solve, core = plp.lp_solve, plp._simplex_core
+    inv, lin_solve = np.linalg.inv, np.linalg.solve
 
     def counting(problem, start=None):
         calls.append(start)
@@ -227,20 +231,33 @@ def test_certification_lp_budget(monkeypatch):
             phase1.append(t)
         return core(t, tol, n_real)
 
+    def counting_inv(a):
+        lapack.append("inv")
+        return inv(a)
+
+    def counting_solve(a, b):
+        lapack.append("solve")
+        return lin_solve(a, b)
+
     for module in (plp, ppoly, pcbf):
         monkeypatch.setattr(module, "lp_solve", counting)
     monkeypatch.setattr(plp, "_simplex_core", counting_core)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     spec = hexagon_spec()
     assert len(calls) == 4   # the term's extents, which also show it nonempty
     assert calls == [None] * 4 and len(phase1) == 4
+    assert len(lapack) == 10
     cert = compute_cert(spec, overrides=np.zeros(2))
     cbf = build(spec, cert, 10.0, 0.1)
     assert len(calls) == 4
     assert check_compactness(cbf)
     assert len(calls) == 4   # compactness reads the spec's term extents
+    assert len(lapack) == 10   # the pinned certificate inverts nothing
     velocity_bound(cbf)
     assert len(calls) == 8   # plus the velocity extents, solved once
     assert None not in calls[4:] and len(phase1) == 4   # phase 2 only
+    assert lapack[10:] == ["inv"] * 6   # the 4 starts, and 2 bases after a pivot
     for gamma, eps in ((1.0, 0.5), (3.0, 0.2), (100.0, 1.0)):
         velocity_bound(build(spec, cert, gamma, eps))
     assert len(calls) == 20 and len(phase1) == 4   # every barrier on the spec

@@ -663,6 +663,24 @@ def test_non_finite_plant_at_a_binding_sample_exit_5(tmp_path, specfile, capsys,
     assert err == "NonFinite: plant G2 or f2 not finite at sample 6\n"
 
 
+_TINY_L2 = {"type": "two_link_arm", "l2": 1e-200}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_simulate_with(plant=_TINY_L2), id="simulate-skip-verify"),
+    pytest.param(lambda tmp_path, specfile: [
+        "simulate", str(_scenario(tmp_path, specfile, plant=_TINY_L2)),
+        "--out", str(tmp_path / "r")], id="simulate"),
+    pytest.param(_verify_args("--samples", "50", plant=_TINY_L2), id="verify"),
+])
+def test_underflowing_inertia_exit_5(tmp_path, specfile, capsys, argv):
+    # l2 = 1e-200 makes det M and its floor both 0; this once exited 1 with
+    # a ZeroDivisionError traceback
+    assert main(argv(tmp_path, specfile)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("PolysafeError: inertia matrix singular") and err.count("\n") == 1
+
+
 # the documented exit code of every exported error class; 4 belongs to the
 # condition check alone
 _EXIT_CODES = {

@@ -19,6 +19,7 @@ from polysafe.cbf import (
 from polysafe.errors import PolysafeError, ValidationError
 from polysafe.inputs import Unbounded
 from polysafe.plant import double_integrator
+from polysafe.sim import Scenario, audit_invariance, simulate
 from polysafe.polytope import (
     HalfSpace,
     SafetySpec,
@@ -146,3 +147,29 @@ def test_random_geometry_stored_extents_match_the_lps(data):
         assert check_compactness(cbf) == bool(np.isfinite(full).all())
         assert (velocity_bound(cbf).per_component_bound
                 == np.abs(cbf.velocity_extents).max())
+
+
+@seed(0)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_geometry_filtered_loop_stays_invariant(data):
+    """A double integrator pushed outward at a constant input stays in C^s
+    through the filter, over the certificate test's specs and barriers: from
+    the first term's witness lifted into C^s, 3 s at dt = 1e-2, in which the
+    unfiltered input would carry it 9 units along (1, ..., 1).  Most draws
+    reach the boundary (min B within 1e-13 of 0).  A QpInfeasibleAt fails
+    the test."""
+    try:
+        spec = data.draw(bounded_specs())
+        cert = compute_cert(spec)
+    except PolysafeError as exc:
+        assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
+        return
+    cbf = build(spec, cert, 1.0, cert.delta / 2)
+    x0 = lift_position(cbf, cert.witnesses[frozenset(spec.terms[0])])
+    push = np.full(spec.n, 2.0 / np.sqrt(spec.n))
+    log = simulate(Scenario(cbf, double_integrator(spec.n), "safeguarded", x0,
+                            t_final=3.0, dt=1e-2, nominal=lambda t, x: push,
+                            input_set=Unbounded()))
+    report = audit_invariance(log, cbf)
+    assert report.invariant, report.min_B

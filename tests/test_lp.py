@@ -305,6 +305,46 @@ def test_start_from_another_b_gives_the_cold_result(monkeypatch):
     assert started > 100
 
 
+def test_started_solve_inverts_its_start_once(monkeypatch):
+    # the start's feasibility test inverts its basis, and phase 2's first
+    # iteration takes that inverse: the start is the first matrix inverted,
+    # and each later inversion follows a pivot, so no two in a row are equal
+    inverted, phase1 = [], []
+    inv, solve, core = np.linalg.inv, np.linalg.solve, lp_module._simplex_core
+
+    def counting_inv(a):
+        inverted.append(np.array(a))
+        return inv(a)
+
+    def counting_solve(a, b):
+        inverted.append(np.array(a))
+        return solve(a, b)
+
+    def counting_core(t, tol, n_real=None):
+        if n_real is not None:   # phase 1, from the artificials
+            phase1.append(t)
+        return core(t, tol, n_real)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(lp_module, "_simplex_core", counting_core)
+    rng = np.random.Generator(np.random.Philox(2024))
+    started = 0
+    for _ in range(200):
+        p = _random_problem(rng)
+        shifted = LpProblem(c=p.c, A=p.A, b=p.b + rng.normal(size=p.b.size))
+        start = lp_solve(shifted).start
+        del inverted[:], phase1[:]
+        lp_solve(p, start)
+        if start is None or phase1:   # no start, or one this dual rejects
+            continue
+        started += 1
+        As = np.where(p.c > 0, -1.0, 1.0)[:, None] * p.A.T
+        assert inverted[0].tobytes() == As[:, list(start)].tobytes()
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(inverted, inverted[1:]))
+    assert started > 100
+
+
 @pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
                    reason="phase 1 pivots on a tiny tied entry into a singular basis")
 def test_degenerate_tie_does_not_pivot_into_a_singular_basis():

@@ -118,6 +118,15 @@ def test_nearly_massless_first_link_inertia_is_singular():
     assert info.type is PolysafeError
 
 
+def test_underflowing_inertia_is_singular():
+    # l2 = 1e-200 makes m2 l2^2 and det M exactly 0; the floor 1e-12 m11 m22
+    # is 0 too, and 0 < 0 once let G2 divide by zero
+    G2 = two_link_arm(ArmParams(l2=1e-200)).G2
+    with pytest.raises(PolysafeError, match="inertia matrix singular at theta2=0") as info:
+        G2(np.array([0.3, 0.0]))
+    assert info.type is PolysafeError
+
+
 # --- one plant call per RK4 stage, against the f2 + G2 @ u oracle --------------
 
 def _random_states(seed, n=2, count=300):

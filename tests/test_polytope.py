@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysafe.errors import EmptySet, ValidationError
@@ -46,6 +46,25 @@ def test_halfspace_rejects_nonfinite():
         _hs([np.nan, 1.0], 1.0)
     with pytest.raises(ValidationError):
         _hs([1.0], np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([1e-200, 1e-162, 1e-161, 1e200])),
+                min_size=1, max_size=3))
+@example([1e-200, 1e-200])
+@example([1e-161, 0.0])
+@example([-0.0, 0.0])
+def test_halfspace_direction_test_is_numpys_norm(a):
+    # a direction is taken iff it is finite and numpy's norm, sqrt(a @ a), is
+    # not 0: (1e-200, 1e-200) is nonzero, but its norm underflows to 0
+    with np.errstate(over="ignore"):   # (1e200, 1e200): an infinite norm is nonzero
+        expected = bool(np.isfinite(a).all() and np.linalg.norm(a) != 0.0)
+    try:
+        _hs(a, 1.0)
+    except ValidationError:
+        assert not expected, a
+    else:
+        assert expected, a
 
 
 @pytest.mark.parametrize("terms", [(), ((),), ((0, 7),), ((0, 0),)])
