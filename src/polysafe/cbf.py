@@ -17,9 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFinite, ParameterViolation, PolysafeError, integer, real
+from .errors import (NonFinite, ParameterViolation, PolysafeError, ValidationError,
+                     integer, parsing, real)
 from .lp import LpProblem, lp_solve, lp_feasible_point
-from .polytope import GeometryCert, SafetySpec, TermRows, max_min, shrunk_extents
+from .polytope import (GeometryCert, SafetySpec, TermRows, certify_witnesses,
+                       enumerate_s_cap, max_min, velocity_extents)
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -93,18 +95,9 @@ class ExtendedCbf:
         Divided by gamma, the velocity row of half-space i reads
         a_i @ w + b_i >= rho in w = x1 + x2 / gamma, rho = epsilon / gamma.
         So an extended term is P x P_rho, its position term P times P shrunk
-        by rho, and its velocities are gamma (P_rho - P): the extents are
-        gamma (lo_rho - hi, hi_rho - lo), with (lo, hi) the spec's stored
-        term extents and (lo_rho, hi_rho) those of P_rho.  2n LPs per term,
-        the spec's own with b shifted (`shrunk_extents`), so each skips phase
-        1 and starts from the spec's stored bases; gamma never enters an LP.
+        by rho, and its velocities are gamma (P_rho - P).
         """
-        rho = self.epsilon / self.gamma
-        out = []
-        for ell, (lo, hi) in enumerate(self.spec.term_extents):
-            lo_rho, hi_rho = shrunk_extents(self.spec, ell, rho)
-            out.append((self.gamma * (lo_rho - hi), self.gamma * (hi_rho - lo)))
-        return np.array(out)
+        return self.gamma * velocity_extents(self.spec, self.epsilon / self.gamma)
 
     def to_dict(self) -> dict:
         return {
@@ -149,8 +142,6 @@ class ActiveSet:
 class VelocityCert:
     """LP-certified bound on each velocity component inside C^s."""
 
-    gamma: float
-    epsilon: float
     per_component_bound: float
     norm_bound: float
     c: float
@@ -205,13 +196,21 @@ def build(spec: SafetySpec, cert: GeometryCert, gamma: float,
 
 
 def cbf_from_dict(d: dict) -> ExtendedCbf:
-    """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire)."""
+    """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire).
+    The certificate is checked as compute_cert makes it (ValidationError)."""
     spec = SafetySpec.from_dict(d)
-    witnesses = {
-        frozenset(integer(i, "indices") - 1 for i in e["indices"]): real(e["y"], "y")
-        for e in d["cert"]["witnesses"]
-    }
-    cert = GeometryCert(witnesses=witnesses, delta=real(d["cert"]["delta"], "delta"))
+    with parsing("barrier field 'cert'", ValidationError):
+        witnesses = {frozenset(integer(i, "indices") - 1 for i in e["indices"]):
+                     np.reshape(real(e["y"], "y"), spec.n) for e in d["cert"]["witnesses"]}
+        delta = real(d["cert"]["delta"], "delta")
+    s_cap = enumerate_s_cap(spec)
+    if witnesses.keys() != set(s_cap):
+        raise ValidationError(f"cert witnesses must name the {len(s_cap)} index sets "
+                              "that meet the safety set")
+    cert = certify_witnesses(spec, ((I, witnesses[I]) for I in s_cap))
+    if cert.delta != delta:
+        raise ValidationError(f"cert delta {delta!r} is not the smallest witness "
+                              f"margin {cert.delta!r}")
     return build(spec, cert, real(d["cbf"]["gamma"], "gamma"),
                  real(d["cbf"]["epsilon"], "epsilon"))
 
@@ -263,13 +262,11 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
 
 def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
     """Largest |x2_j| over every extended term: its velocity extents."""
-    n = cbf.n
     bound = np.abs(cbf.velocity_extents).max()
     if not np.isfinite(bound):
         raise PolysafeError("velocity unbounded over an extended term")
-    norm_bound = np.sqrt(n) * bound
-    return VelocityCert(gamma=cbf.gamma, epsilon=cbf.epsilon,
-                        per_component_bound=float(bound),
+    norm_bound = np.sqrt(cbf.n) * bound
+    return VelocityCert(per_component_bound=float(bound),
                         norm_bound=float(norm_bound),
                         c=float(norm_bound / cbf.gamma))
 

@@ -25,9 +25,11 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .polytope import SafetySpec, contains, eval_h_many, position_bounding_box
+from .polytope import (SafetySpec, contains, eval_h_many, position_bounding_box,
+                       velocity_extents)
 
 GRAVITY = 9.8  # m/s^2
+_V_CAP = 1.0   # radius of the velocity ball that k2 is estimated on
 _BLOCK = 512   # grid points per block of the constant-estimation scan
 _DIRECTIONS = 32   # velocity directions per grid point of the scan (n >= 2)
 
@@ -127,7 +129,7 @@ class ElConstants:
     """Force and inertia constants over the safety set: grid maxima refined
     by a local polish (estimate_constants), so lower bounds of the maxima.
 
-    k2 is estimated on the velocity ball ||x2|| <= v_cap only (the
+    k2 is estimated on the velocity ball ||x2|| <= _V_CAP = 1 only (the
     velocity force is quadratic for the arm, so a linear bound needs a
     bounded velocity set).
     """
@@ -135,7 +137,6 @@ class ElConstants:
     k1: float
     kG: float
     k2: float
-    v_cap: float
 
 
 @dataclass(frozen=True)
@@ -383,7 +384,7 @@ def _stable_top(kept: list, vals: np.ndarray, at, f, k: int) -> list:
 
 
 def estimate_constants(plant: PlantModel, spec: SafetySpec,
-                       resolution: int = 200, v_cap: float = 1.0) -> ElConstants:
+                       resolution: int = 200) -> ElConstants:
     """Maxima of the potential force, right-inverse norm, and the
     velocity-force gain over the safety set: a grid scan followed by a
     deterministic pattern-search polish from the best grid candidates (the
@@ -391,8 +392,8 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     among ties), so the reported values are refined local maxima.
 
     f2_velocity must be a quadratic form in x2 (PolysafeError if not), so
-    ||f2_velocity|| / ||x2|| is maximal on ||x2|| = v_cap, and the block
-    scan calls it per grid point only at v_cap (e_j + e_k) and v_cap e_j:
+    ||f2_velocity|| / ||x2|| is maximal on ||x2|| = _V_CAP, and the block
+    scan calls it per grid point only at _V_CAP (e_j + e_k) and _V_CAP e_j:
     by polarization these price every direction.
     """
     if not plant.has_split:
@@ -417,13 +418,13 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
 
     def f_k2(z):
         x1, w = z[:n], z[n:]
-        x2 = v_cap * w / np.linalg.norm(w)
-        return float(np.linalg.norm(plant.f2_velocity(x1, x2))) / v_cap
+        x2 = _V_CAP * w / np.linalg.norm(w)
+        return float(np.linalg.norm(plant.f2_velocity(x1, x2))) / _V_CAP
 
     pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    probes = v_cap * np.array([np.eye(n)[j] + (j < k) * np.eye(n)[k] for j, k in pairs])
+    probes = _V_CAP * np.array([np.eye(n)[j] + (j < k) * np.eye(n)[k] for j, k in pairs])
 
-    def weights(W):   # f2_velocity(x1, v_cap w) = weights(w) @ probe values
+    def weights(W):   # f2_velocity(x1, _V_CAP w) = weights(w) @ probe values
         return np.stack([W[:, j] * (W[:, k] if j < k else 2 * W[:, j] - W.sum(1))
                          for j, k in pairs], axis=1)
 
@@ -432,7 +433,7 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     for s in range(0, len(grid), _BLOCK):
         blk = grid[s:s + _BLOCK]
         F = np.array([[plant.f2_velocity(x1, p) for p in probes] for x1 in blk])
-        direct = plant.f2_velocity(blk[0], v_cap * check)
+        direct = plant.f2_velocity(blk[0], _V_CAP * check)
         if np.abs(weights(check[None]) @ F[0] - direct).max() > 1e-9 * max(
                 np.abs(direct).max(), np.abs(F[0]).max()):
             raise PolysafeError("f2_velocity is not a quadratic form in x2")
@@ -441,7 +442,7 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
             [plant.f2_potential(x1) for x1 in blk], axis=1), blk.__getitem__, f_k1, 1)
         kG_top = _stable_top(kG_top, np.linalg.norm(
             np.linalg.pinv(G), 2, axis=(1, 2)), blk.__getitem__, f_kG, 1)
-        k2 = np.linalg.norm(weights(dirs) @ F, axis=2).ravel() / v_cap
+        k2 = np.linalg.norm(weights(dirs) @ F, axis=2).ravel() / _V_CAP
         k2_top = _stable_top(k2_top, k2, lambda i: np.concatenate(
             [blk[i // len(dirs)], dirs[i % len(dirs)]]), f_k2, 3)
     k1 = _pattern_polish(f_k1, k1_top[0][1], spacing.copy(), feasible=in_c)
@@ -451,7 +452,7 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
         f_k2, z, np.concatenate([spacing, dir_step]),
         feasible=lambda z: in_c(z[:spec.n])
         and np.linalg.norm(z[spec.n:]) > 0.1) for _, z in k2_top])
-    return ElConstants(k1=k1, kG=kG, k2=k2, v_cap=v_cap)
+    return ElConstants(k1=k1, kG=kG, k2=k2)
 
 
 def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,
@@ -459,18 +460,16 @@ def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,
     """Largest gamma (with 10% slack) meeting the input-bound condition
     gamma (k2 + gamma) kG c < (d - k1 kG) / 2, plus epsilon = gamma delta / 2.
 
-    c is computed once at gamma = 1, epsilon = delta / 2 and reused: the
-    velocity bound scales exactly linearly in (gamma, epsilon).
+    There rho = epsilon / gamma = delta / 2 at every gamma, so ||x2|| <= c gamma
+    with c = sqrt(n) max |velocity_extents(spec, delta / 2)|: no barrier is built.
     """
-    from .cbf import build, velocity_bound
-
     headroom = d - constants.kG * constants.k1
     if headroom <= 0:
         raise ParameterViolation(
             f"d = {d:.6g} <= kG*k1 = {constants.kG * constants.k1:.6g}"
         )
     delta = cert.delta
-    c = velocity_bound(build(spec, cert, 1.0, delta / 2)).c
+    c = float(np.sqrt(spec.n) * np.abs(velocity_extents(spec, delta / 2)).max())
     kGc = constants.kG * c
     if kGc <= 0:
         gamma = 1.0

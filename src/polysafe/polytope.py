@@ -97,7 +97,7 @@ class SafetySpec:
     once (2n LPs per term): an empty term is rejected from those same
     LPs, and the certificate's boundedness test, the bounding box and
     the barrier's compactness and velocity extents read them, and
-    `term_starts` their phase-1 bases (`shrunk_extents`).  All are built
+    `term_starts` their phase-1 bases (`velocity_extents`).  All are built
     once and read-only.
     """
 
@@ -211,7 +211,7 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
 
 def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
-    from the LPs c = +-e_j, each with its phase 1 (`shrunk_extents` skips it).
+    from the LPs c = +-e_j, each with its phase 1 (`velocity_extents` skips it).
 
     An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
     """
@@ -237,11 +237,16 @@ def _extents(A, b, starts=None):
     return (lo, hi), tuple(found)
 
 
-def shrunk_extents(spec: SafetySpec, ell: int, rho: float):
-    """`extents` of term ell shrunk by rho (rows a_i @ x + b_i >= rho), in
-    phase 2 only: its LPs start from the spec's `term_starts`."""
-    A, b, _ = spec.rows.term_rows(ell)
-    return _extents(A, b - rho, spec.term_starts[ell])[0]
+def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
+    """Per term P, the 2 x n extents (lo_rho - hi, hi_rho - lo) of P_rho - P,
+    P_rho its rows shrunk to a_i @ x + b_i >= rho, from its LPs in phase 2 only
+    (the spec's `term_starts`); gamma times them bound the barrier's x2."""
+    out = []
+    for ell, (lo, hi) in enumerate(spec.term_extents):
+        A, b, _ = spec.rows.term_rows(ell)
+        lo_rho, hi_rho = _extents(A, b - rho, spec.term_starts[ell])[0]
+        out.append((lo_rho - hi, hi_rho - lo))
+    return np.array(out)
 
 
 def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
@@ -332,19 +337,25 @@ def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
     if pinned is not None:
         if not contains(spec, pinned):
             raise ValidationError("override witness lies outside the safety set")
-        y, vals = pinned, (pinned @ spec.A.T + spec.offsets).tolist()
+        vals = (pinned @ spec.A.T + spec.offsets).tolist()
         delta = min(vals[i] for i in frozenset().union(*s_cap))   # the rows s_cap covers
         if delta > 0.0:
-            return GeometryCert(witnesses=dict.fromkeys(s_cap, y), delta=float(delta))
+            return GeometryCert(witnesses=dict.fromkeys(s_cap, pinned), delta=float(delta))
+    return certify_witnesses(spec, ((I, max_min_point(spec, I)[0] if pinned is None
+                                     else pinned) for I in s_cap))
+
+
+def certify_witnesses(spec: SafetySpec, pairs) -> GeometryCert:
+    """The certificate of the witnesses (I, y_I) in `pairs`, read in order:
+    each margin min_{i in I} h_i(y_I) must be positive (ValidationError
+    naming I if not), and delta is the smallest of them."""
     witnesses: dict[frozenset[int], np.ndarray] = {}
     delta = np.inf
-    for I in s_cap:   # if pinned, only to name the index set that fails
-        if pinned is None:
-            y = max_min_point(spec, I)[0]
-            vals = (y @ spec.A.T + spec.offsets).tolist()
+    for I, y in pairs:
         # a few rows: plain Python beats numpy's per-call cost here
+        vals = (y @ spec.A.T + spec.offsets).tolist()
         margin = min(vals[i] for i in I)
-        if margin <= 0.0:
+        if not 0.0 < margin < math.inf:   # a non-finite y has no finite margin
             raise ValidationError(f"witness for {sorted(I)} lacks a positive margin")
         witnesses[I] = y
         delta = min(delta, margin)

@@ -52,13 +52,10 @@ class QpProblem:
             raise NonFinite("non-finite entries in the QP data")
         if np.linalg.norm(P - P.T) > 1e-10:
             raise PolysafeError("cost matrix is not symmetric")
-        diag = P.diagonal()
-        # a diagonal P with a positive diagonal is PD as it stands
-        if not ((diag > 0).all() and np.count_nonzero(P) == diag.size):
-            try:
-                np.linalg.cholesky(P)
-            except np.linalg.LinAlgError as exc:
-                raise PolysafeError("cost matrix failed Cholesky") from exc
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError as exc:
+            raise PolysafeError("cost matrix failed Cholesky") from exc
         self.__dict__.update(P=P, c=c, G=G, h=h)  # past the frozen __setattr__
 
     @classmethod

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cbf import ExtendedCbf, VelocityCert, eval_B, eval_B_many
+from .cbf import ExtendedCbf, eval_B, eval_B_many
 from .errors import Infeasible, NonFinite, QpInfeasibleAt, UsageError
 from .plant import PlantModel, rk4_step
 from .polytope import eval_h, eval_h_many
@@ -159,20 +159,16 @@ class InvarianceReport:
     first_B_violation: float | None  # time of first B < -VIOLATION_TOL, if any
     first_h_violation: float | None
     max_speed: float
-    speed_bound: float | None
 
     @property
     def invariant(self) -> bool:
         return self.first_B_violation is None
 
 
-def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf,
-                     velocity_cert: VelocityCert | None = None) -> InvarianceReport:
+def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf) -> InvarianceReport:
     """Recompute B and h at every logged state, independent of the loop."""
     if len(log) == 0:
-        return InvarianceReport(np.inf, np.inf, None, None, 0.0,
-                                None if velocity_cert is None
-                                else velocity_cert.norm_bound)
+        return InvarianceReport(np.inf, np.inf, None, None, 0.0)
     n = cbf.n
     Bvals = eval_B_many(cbf, log.x)
     hvals = eval_h_many(cbf.spec, log.x[:, :n])
@@ -185,5 +181,4 @@ def audit_invariance(log: TrajectoryLog, cbf: ExtendedCbf,
         first_B_violation=float(log.t[bviol[0]]) if bviol.size else None,
         first_h_violation=float(log.t[hviol[0]]) if hviol.size else None,
         max_speed=float(speeds.max()),
-        speed_bound=None if velocity_cert is None else velocity_cert.norm_bound,
     )

@@ -5,17 +5,21 @@ epsilon = delta / 2, its compactness and velocity bound, a lift of every
 witness, 20 boundary samples and the safety condition for a double
 integrator with unbounded input.  Each barrier's velocity extents are
 solved again by `extents` LPs with no start, each running phase 1, and
-compared bit for bit with the barrier's own, whose LPs skip phase 1.
+compared bit for bit with the barrier's own, whose LPs skip phase 1.  Each
+barrier is also written by `to_dict` and read back by `cbf_from_dict`,
+which checks its certificate against the spec.
 
     PYTHONPATH=src python tests/certify_drawn_specs.py
 
 Prints the counts: specs drawn, rejected when built, certified, refused
 by exit code, witnesses, witnesses with h < 0, the worst witness h, the
 velocity extents compared with their cold solve and how many differ, the
-chain's outcomes by error class, and the NumericalBreakdowns (a singular
-simplex basis) per step of STEPS.  Exits 1 if any spec exits 5 (a
+barriers read back and how many were refused or read with another delta,
+the chain's outcomes by error class, and the NumericalBreakdowns (a
+singular simplex basis) per step of STEPS.  Exits 1 if any spec exits 5 (a
 breakdown in the certificate included), any witness lies outside C, any
-velocity extents differ from their cold solve, the condition fails at a
+velocity extents differ from their cold solve, a barrier is refused or
+reads another delta when read back, the condition fails at a
 sample, the chain raises anything but a NumericalBreakdown, or a
 NumericalBreakdown arises in the compactness and velocity bound step,
 whose LPs are the spec's own rows shrunk by epsilon / gamma.  Breakdowns
@@ -23,9 +27,11 @@ in the other steps are counted, not gated.  Last it prints the number of
 `lp_solve` calls and a sha256 over every result in call order (status,
 start, x, dual, ray and objective), so that two trees whose LPs should
 agree bit for bit can be compared by one line; the digest is not gated.
+The read-back's LPs are neither counted nor hashed.
 """
 
 import collections
+import contextlib
 import hashlib
 import os
 import sys
@@ -40,6 +46,7 @@ from test_geometry_properties import bounded_specs  # noqa: E402
 from polysafe import cbf as pcbf, lp as plp, polytope as ppoly, qp as pqp  # noqa: E402
 from polysafe.cbf import (  # noqa: E402
     build,
+    cbf_from_dict,
     check_compactness,
     lift_position,
     sample_boundary,
@@ -57,10 +64,14 @@ STEPS = ("certificate", "compactness and velocity bound", "lift", "sampling",
          "condition")
 
 
+LP_MODULES = (plp, ppoly, pcbf, pqp)
+LP_SOLVE = plp.lp_solve
+
+
 def hash_lp_results(digest) -> list:
     """Route every module's `lp_solve` through a wrapper that feeds each
     result to `digest`, in call order; returns the one-item call counter."""
-    solve, calls = plp.lp_solve, [0]
+    solve, calls = LP_SOLVE, [0]
 
     def hashed(problem, start=None):
         sol = solve(problem, start)
@@ -70,9 +81,36 @@ def hash_lp_results(digest) -> list:
             digest.update(b"None" if v is None else np.asarray(v, dtype=float).tobytes())
         return sol
 
-    for module in (plp, ppoly, pcbf, pqp):
+    for module in LP_MODULES:
         module.lp_solve = hashed
     return calls
+
+
+@contextlib.contextmanager
+def unhashed():
+    """`lp_solve` as it is, with no hashing wrapper, inside the block."""
+    wrapped = [module.lp_solve for module in LP_MODULES]
+    for module in LP_MODULES:
+        module.lp_solve = LP_SOLVE
+    try:
+        yield
+    finally:
+        for module, solve in zip(LP_MODULES, wrapped):
+            module.lp_solve = solve
+
+
+def read_back(cbf, counts: collections.Counter) -> None:
+    """`cbf_from_dict(cbf.to_dict())`, outside the hashed `lp_solve`:
+    counts the barriers read back, refused, and read with another delta."""
+    counts["barriers read back"] += 1
+    try:
+        with unhashed():
+            back = cbf_from_dict(cbf.to_dict())
+    except PolysafeError:
+        back = None
+    counts["barriers refused when read back"] += back is None
+    counts["barriers read back with another delta"] += (
+        back is not None and back.cert.delta != cbf.cert.delta)
 
 
 def cold_velocity_extents(cbf) -> np.ndarray:
@@ -90,6 +128,7 @@ def chain(spec, cert, counts: collections.Counter):
     each step before it runs, and last the outcome's key."""
     yield "compactness and velocity bound"
     cbf = build(spec, cert, 1.0, cert.delta / 2)
+    read_back(cbf, counts)
     check_compactness(cbf)
     velocity_bound(cbf)
     counts["velocity extents compared with their cold solve"] += 1
@@ -163,6 +202,8 @@ def main() -> int:
                          if k.startswith("chain ") and k != "chain passed")
     return 1 if (counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures
                  or counts["velocity extents differing from their cold solve"]
+                 or counts["barriers refused when read back"]
+                 or counts["barriers read back with another delta"]
                  or breakdowns["compactness and velocity bound"]) else 0
 
 

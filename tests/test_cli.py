@@ -1,5 +1,6 @@
 """Command-line exit codes, file outputs, and idempotence."""
 
+import copy
 import json
 import warnings
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import polysafe
 from polysafe import cli
+from polysafe.cbf import build
 from polysafe.cli import main
-from polysafe.polytope import hexagon_spec
+from polysafe.polytope import compute_cert, hexagon_spec
 
 
 @pytest.fixture()
@@ -195,7 +197,7 @@ def _simulate_with(**overrides):
         "--out", str(tmp_path / "r"), "--skip-verify"]
 
 
-def _verify_with(barrier, scenario=None):
+def _verify_with(barrier, scenario=None, samples="5"):
     def argv(tmp_path, specfile):
         path = tmp_path / "barrier.json"
         path.write_text(json.dumps(barrier))
@@ -203,12 +205,15 @@ def _verify_with(barrier, scenario=None):
         if scenario is not None:
             scenario_path.write_text(json.dumps(scenario))
         return ["verify", str(path), str(scenario_path),
-                "--samples", "5", "--out", str(tmp_path)]
+                "--samples", samples, "--out", str(tmp_path)]
     return argv
 
 
 _TRACKING = {"mode": "safeguarded", "nominal": "tracking"}
 _HEX_CBF = {**hexagon_spec().to_dict(), "cbf": {"gamma": 10.0, "epsilon": 0.1}}
+# what `construct hexagon.json --gamma 10 --epsilon 0.1 --witness 0,0` writes
+_HEX_BARRIER = build(hexagon_spec(), compute_cert(hexagon_spec(), overrides=np.zeros(2)),
+                     10.0, 0.1).to_dict()
 
 
 @pytest.mark.parametrize("argv, code, field", [
@@ -228,13 +233,36 @@ _HEX_CBF = {**hexagon_spec().to_dict(), "cbf": {"gamma": 10.0, "epsilon": 0.1}}
     pytest.param(_simulate_with(controller="safeguarded"), 64, "controller",
                  id="controller-text"),
     pytest.param(_verify_with(_HEX_CBF), 3, "cert", id="barrier-cert"),
-    pytest.param(_verify_with({**_HEX_CBF, "cert": {"delta": 1.5, "witnesses": []}},
-                              scenario=[1, 2]), 64, "scenario", id="scenario-list"),
+    pytest.param(_verify_with(_HEX_BARRIER, scenario=[1, 2]), 64, "scenario",
+                 id="scenario-list"),
 ])
 def test_malformed_load_field_exits_with_code(tmp_path, specfile, capsys, argv,
                                               code, field):
     assert main(argv(tmp_path, specfile)) == code
     assert field in capsys.readouterr().err
+
+
+def _edited_cert(edit):
+    barrier = copy.deepcopy(_HEX_BARRIER)
+    edit(barrier["cert"])
+    return barrier
+
+
+@pytest.mark.parametrize("barrier", [
+    pytest.param(_edited_cert(lambda c: c.update(witnesses=[])), id="no-witnesses"),
+    pytest.param(_edited_cert(lambda c: [w.update(y=[0]) for w in c["witnesses"]]),
+                 id="short-witnesses"),
+    pytest.param(_edited_cert(lambda c: c["witnesses"][0].update(y=[100, 100])),
+                 id="witness-outside"),
+    pytest.param(_edited_cert(lambda c: c.update(delta=5)), id="delta"),
+])
+def test_barrier_with_a_false_certificate_exits_3(tmp_path, specfile, capsys, barrier):
+    # the certificate was once trusted as written: these exited 1 with a
+    # KeyError traceback, 0, 4 and 0 in turn
+    assert main(_verify_with(barrier, samples="20")(tmp_path, specfile)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("resolution", ["0", "1", "-5"])

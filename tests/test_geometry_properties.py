@@ -28,6 +28,7 @@ from polysafe.polytope import (
     eval_h,
     extents,
     max_min,
+    velocity_extents,
 )
 
 MAX_ROWS = 8   # the index sets enumerated number 2^r - 1
@@ -147,6 +148,10 @@ def test_random_geometry_stored_extents_match_the_lps(data):
         assert check_compactness(cbf) == bool(np.isfinite(full).all())
         assert (velocity_bound(cbf).per_component_bound
                 == np.abs(cbf.velocity_extents).max())
+    # select_gamma's c, read from the spec, is the gamma = 1 barrier's, bit for bit
+    rho = certs[0].delta / 2
+    c = np.sqrt(spec.n) * np.abs(velocity_extents(spec, rho)).max()
+    assert c == velocity_bound(build(spec, certs[0], 1.0, rho)).c
 
 
 @seed(0)

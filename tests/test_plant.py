@@ -323,7 +323,7 @@ def test_velocity_force_bound_holds(hexagon, gravity_constants):
     X1 = sample_safe_positions(hexagon, 10000, seed=31)
     for x1 in X1:
         v = rng.normal(size=2)
-        x2 = v / np.linalg.norm(v) * rng.uniform(0, gravity_constants.v_cap)
+        x2 = v / np.linalg.norm(v) * rng.uniform(0, plant_module._V_CAP)
         lhs = np.linalg.norm(arm.f2_velocity(x1, x2))
         assert lhs <= gravity_constants.k2 * np.linalg.norm(x2) + 1e-9
 
@@ -468,6 +468,14 @@ def test_select_gamma_satisfies_condition(hexagon, hexagon_cert,
     c = velocity_bound(build(hexagon, hexagon_cert, gamma, eps)).c
     lhs = gamma * (c0.k2 + gamma) * c0.kG * c
     assert lhs < 0.5 * (d - c0.k1 * c0.kG)
+
+
+def test_select_gamma_pinned(hexagon, hexagon_cert, gravity_constants):
+    # the bits select_gamma returned while it read c from a barrier built at
+    # gamma = 1, epsilon = delta / 2: the spec's velocity extents give the same
+    d = gravity_constants.kG * gravity_constants.k1 + 10.0
+    gamma, eps = select_gamma(gravity_constants, d, hexagon, hexagon_cert)
+    assert (gamma.hex(), eps.hex()) == ("0x1.28352d99ee6aap-5", "0x1.d14831c8d2b56p-6")
 
 
 def test_select_gamma_slab_closed_form():

@@ -98,7 +98,7 @@ def test_not_positive_definite_rejected():
         QpProblem(P=np.array([[0.0]]), c=np.zeros(1),
                   G=np.zeros((0, 1)), h=np.zeros(0))
     assert info.type is PolysafeError
-    # a diagonal P skips the factorization only with a positive diagonal
+    # Cholesky refuses a zero or negative diagonal entry
     for diag in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
         with pytest.raises(PolysafeError, match="cost matrix failed Cholesky") as info:
             QpProblem(P=np.diag(diag), c=np.zeros(3),

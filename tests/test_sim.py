@@ -219,10 +219,8 @@ def test_audit_reports_nominal_violation(nominal_log, hexagon_cbf):
 
 def test_velocity_bound_holds_in_closed_loop(safeguarded_log, hexagon_cbf):
     cert = velocity_bound(hexagon_cbf)
-    report = audit_invariance(safeguarded_log, hexagon_cbf,
-                              velocity_cert=cert)
+    report = audit_invariance(safeguarded_log, hexagon_cbf)
     assert report.max_speed <= cert.norm_bound + 1e-6
-    assert report.speed_bound == cert.norm_bound
 
 
 def test_step_size_robustness(safeguarded_log, safeguarded_log_half_dt):
