@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import (NonFinite, ParameterViolation, PolysafeError, ValidationError,
                      integer, parsing, real)
-from .lp import LpProblem, lp_solve, lp_feasible_point
+from .lp import lp_solve  # noqa: F401  no LP here: the benchmark tracer's patch site
 from .polytope import (GeometryCert, SafetySpec, TermRows, certify_witnesses,
-                       enumerate_s_cap, max_min, velocity_extents)
+                       enumerate_s_cap, max_min, velocity_extents, vertices)
 
 ACTIVATION_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
@@ -84,6 +84,7 @@ class ExtendedCbf:
         h = self.spec.halfspaces[i - r]
         return np.concatenate([self.gamma * h.a, h.a]), self.gamma * h.b - self.epsilon
 
+    # kept on the class: the tests read it, and the benchmark tracer patches it
     def term_rows(self, ell: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Stacked (A, b, extended ids) for extended term ell (read-only)."""
         return self.rows.term_rows(ell)
@@ -271,40 +272,32 @@ def velocity_bound(cbf: ExtendedCbf) -> VelocityCert:
                         c=float(norm_bound / cbf.gamma))
 
 
-def _facet_vertices(cbf: ExtendedCbf, ell: int, k: int,
-                    rng: np.random.Generator, n_lps: int) -> np.ndarray | None:
-    """Vertices of facet {row k = 0} of extended term ell via random-cost
-    LPs; None if the facet is empty or no LP reaches a vertex."""
-    A, b, _ = cbf.term_rows(ell)
-    eq_A = np.vstack([A, -A[k]])
-    eq_b = np.concatenate([-b, [b[k]]])  # rows >= 0 plus the reversed row k
-    if lp_feasible_point(eq_A, eq_b) is None:
-        return None
-    verts = []
-    for _ in range(n_lps):
-        c = rng.normal(size=A.shape[1])
-        sol = lp_solve(LpProblem(c=c, A=eq_A, b=eq_b))
-        if sol.optimal:
-            verts.append(sol.x)
-    return np.array(verts) if verts else None
-
-
 def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
     """`count` states on the boundary of C^s (|B| <= BOUNDARY_TOL).
 
-    Facet-stratified: per (term, row) facet, vertices are generated by
-    randomized-cost LPs and combined with Dirichlet weights; combinations
-    dominated by another term (B > 0 there) are rejected.  Deterministic
-    under `seed`.
+    Facet-stratified over each term's position rows, then its velocity
+    rows.  In (x1, w), w = x1 + x2 / gamma, an extended term is P x P_rho
+    (see `ExtendedCbf.velocity_extents`): a position row's facet is
+    (P's vertices on the row) x P_rho's vertices, a velocity row's is P's
+    vertices x (P_rho's on the row), both from `vertices` on the spec's
+    rows.  A sample is a Dirichlet combination on each factor, mapped back
+    by x2 = gamma (w - x1); one dominated by another term (B > 0 there)
+    is rejected.  Deterministic under `seed`.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count == 0:
         return np.zeros((0, 2 * cbf.n))
     rng = np.random.Generator(np.random.Philox(seed))
-    facets = [_facet_vertices(cbf, ell, k, rng, n_lps=4 * cbf.n + 4)
-              for ell, span in enumerate(cbf.rows.spans) for k in range(len(span))]
-    facets = [verts for verts in facets if verts is not None]
+    rho = cbf.epsilon / cbf.gamma
+    facets = []
+    for ell in range(len(cbf.spec.terms)):
+        A, b, _ = cbf.spec.rows.term_rows(ell)
+        P, Q = vertices(A, b), vertices(A, b - rho)
+        tight_P = np.abs(P @ A.T + b) <= BOUNDARY_TOL
+        tight_Q = np.abs(Q @ A.T + b - rho) <= BOUNDARY_TOL
+        facets += [(P[on], Q) for on in tight_P.T] + [(P, Q[on]) for on in tight_Q.T]
+    facets = [(P, Q) for P, Q in facets if len(P) and len(Q)]
     if not facets:
         raise PolysafeError("no nonempty boundary facets found")
     samples = []
@@ -314,10 +307,11 @@ def sample_boundary(cbf: ExtendedCbf, count: int, seed: int) -> np.ndarray:
         attempts += 1
         if attempts > 200 * count:
             raise PolysafeError("boundary sampling rejection budget exhausted")
-        verts = facets[fi % len(facets)]
+        P, Q = facets[fi % len(facets)]
         fi += 1
-        w = rng.dirichlet(np.ones(len(verts)))
-        x = w @ verts
+        x1 = rng.dirichlet(np.ones(len(P))) @ P
+        w = rng.dirichlet(np.ones(len(Q))) @ Q
+        x = np.concatenate([x1, cbf.gamma * (w - x1)])
         if abs(eval_B(cbf, x).value) <= BOUNDARY_TOL:
             samples.append(x)
     return np.array(samples)

@@ -7,12 +7,11 @@ enough to reproduce the trajectory figures.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .polytope import SafetySpec, max_min
+from .polytope import SafetySpec, vertices
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 62, 16, 34, 46  # margins
@@ -129,12 +128,7 @@ def term_vertices_2d(spec: SafetySpec, ell: int = 0) -> np.ndarray:
     """Vertices of a 2-D term polygon, ordered counterclockwise."""
     if spec.n != 2:
         raise ValueError("polygon overlay requires n = 2")
-    A, b, _ = spec.rows.term_rows(ell)
-    corners = np.array([np.linalg.solve(A[[i, j]], -b[[i, j]])
-                        for i, j in itertools.combinations(range(len(b)), 2)
-                        if abs(np.linalg.det(A[[i, j]])) >= 1e-12])
-    verts = corners[max_min(spec.rows, corners)[1][:, ell] >= -1e-9]
-    verts = np.unique(np.round(verts, 12), axis=0)
+    verts = np.unique(np.round(vertices(*spec.rows.term_rows(ell)[:2]), 12), axis=0)
     center = verts.mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
     return verts[order]

@@ -237,6 +237,17 @@ def _extents(A, b, starts=None):
     return (lo, hi), tuple(found)
 
 
+def vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices (k x n) of {x | A @ x + b >= 0}: every n rows with
+    |det| >= 1e-12 solved as equalities, kept where no row is below -1e-9.
+    Not rounded, and a vertex on more than n rows repeats."""
+    n = A.shape[1]
+    idx = np.array(list(itertools.combinations(range(len(b)), n)), dtype=int).reshape(-1, n)
+    idx = idx[np.abs(np.linalg.det(A[idx])) >= 1e-12]
+    X = np.linalg.solve(A[idx], -b[idx][..., None])[..., 0]
+    return X[(X @ A.T + b >= -1e-9).all(axis=1)]
+
+
 def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
     """Per term P, the 2 x n extents (lo_rho - hi, hi_rho - lo) of P_rho - P,
     P_rho its rows shrunk to a_i @ x + b_i >= rho, from its LPs in phase 2 only

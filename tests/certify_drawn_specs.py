@@ -22,8 +22,9 @@ velocity extents differ from their cold solve, a barrier is refused or
 reads another delta when read back, the condition fails at a
 sample, the chain raises anything but a NumericalBreakdown, or a
 NumericalBreakdown arises in the compactness and velocity bound step,
-whose LPs are the spec's own rows shrunk by epsilon / gamma.  Breakdowns
-in the other steps are counted, not gated.  Last it prints the number of
+whose LPs are the spec's own rows shrunk by epsilon / gamma, or in
+sampling, which solves no LP.  Breakdowns in the other steps are
+counted, not gated.  Last it prints the number of
 `lp_solve` calls and a sha256 over every result in call order (status,
 start, x, dual, ray and objective), so that two trees whose LPs should
 agree bit for bit can be compared by one line; the digest is not gated.
@@ -204,7 +205,8 @@ def main() -> int:
                  or counts["velocity extents differing from their cold solve"]
                  or counts["barriers refused when read back"]
                  or counts["barriers read back with another delta"]
-                 or breakdowns["compactness and velocity bound"]) else 0
+                 or breakdowns["compactness and velocity bound"]
+                 or breakdowns["sampling"]) else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import activation_eager, eval_barrier_naive, sample_safe_positions
 from polysafe.cbf import (
     ACTIVATION_TOL,
+    BOUNDARY_TOL,
     build,
     cbf_from_dict,
     check_compactness,
@@ -23,7 +24,8 @@ from polysafe.cbf import (
 from polysafe.errors import ParameterViolation, PolysafeError
 from polysafe.inputs import Box, PolytopicBall, Unbounded
 from polysafe.plant import PlantModel
-from polysafe.polytope import HalfSpace, SafetySpec, compute_cert, hexagon_spec, slab_spec
+from polysafe.polytope import (HalfSpace, SafetySpec, compute_cert, hexagon_spec, slab_spec,
+                               vertices)
 
 
 @pytest.fixture(scope="module")
@@ -330,20 +332,49 @@ def test_sample_boundary_negative_count_raises(hexagon_cbf):
         sample_boundary(hexagon_cbf, -3, seed=1)
 
 
-def test_sample_boundary_skips_empty_facets(hexagon):
-    # x1 <= 10 never binds in the hexagon: its position facet (row 6) and
-    # its velocity companion's (row 13) are empty
-    from polysafe.cbf import _facet_vertices
-
+def _far_row_cbf(hexagon, gamma, epsilon):
+    # x1 <= 10 never binds in the hexagon: row 6, and its velocity
+    # companion, extended row 13
     far = HalfSpace(np.array([-1.0, 0.0]), 10.0)
     spec = SafetySpec(halfspaces=hexagon.halfspaces + (far,), terms=(tuple(range(7)),), n=2)
-    cbf = build(spec, compute_cert(spec), 1.0, 0.5)
-    rng = np.random.Generator(np.random.Philox(0))
-    empty = [k for k in range(14) if _facet_vertices(cbf, 0, k, rng, n_lps=12) is None]
-    assert empty == [6, 13]
+    return build(spec, compute_cert(spec), gamma, epsilon)
+
+
+def test_sample_boundary_skips_empty_facets(hexagon):
+    # no vertex of the term P, or of P_rho, lies on row 6, so the facets of
+    # extended rows 6 and 13 are empty and neither row is ever at 0
+    cbf = _far_row_cbf(hexagon, 1.0, 0.5)
+    A, b, _ = cbf.spec.rows.term_rows(0)
+    for rho in (0.0, cbf.epsilon / cbf.gamma):
+        V = vertices(A, b - rho)
+        assert len(V) == 6 and (V @ A[6] + b[6] - rho > 1.0).all()
     X = sample_boundary(cbf, 50, seed=0)
     assert X.shape == (50, 4)
     assert max(abs(eval_B(cbf, x).value) for x in X) <= 1e-9
+    for i in (6, 13):
+        a, c = cbf.row(i)
+        assert (X @ a + c > 1.0).all()
+
+
+@pytest.mark.parametrize("gamma", [0.1, 10.0, 1e4])
+def test_sample_boundary_reaches_every_nonempty_facet(hexagon, gamma):
+    # the hexagon's 6 rows and their velocity companions each bound a
+    # nonempty facet; the far row's two facets are empty
+    cbf = _far_row_cbf(hexagon, gamma, 0.05 * gamma)
+    X = sample_boundary(cbf, 60, seed=5)
+    assert np.abs(eval_B_many(cbf, X)).max() <= BOUNDARY_TOL
+    at_zero = (np.abs(X @ cbf.rows.A.T + cbf.rows.b) <= BOUNDARY_TOL).any(axis=0)
+    assert {i for i, hit in zip(cbf.rows.ids, at_zero) if hit} == set(range(14)) - {6, 13}
+
+
+def test_sample_boundary_solves_no_lp(monkeypatch, hexagon_cbf):
+    from polysafe import lp as plp
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("sample_boundary ran the simplex")
+
+    monkeypatch.setattr(plp, "_simplex_core", no_lp)
+    assert sample_boundary(hexagon_cbf, 50, seed=3).shape == (50, 4)
 
 
 # --- boundary safety condition ------------------------------------------------

@@ -1,5 +1,6 @@
 """Constraint geometry: validation, membership, certificates, serialization."""
 
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from polysafe.polytope import (
     max_min_point,
     position_bounding_box,
     slab_spec,
+    vertices,
 )
 
 
@@ -268,6 +270,43 @@ def test_bounding_box_of_a_union_is_the_hull_of_term_extents():
     lo, hi = position_bounding_box(spec)
     np.testing.assert_allclose(lo, [-1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(hi, [4.0, 2.0], atol=1e-12)
+
+
+def _sorted_rows(X):
+    return X[np.lexsort(X.T[::-1])]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_vertices_of_the_hexagon_and_its_shrunk_copy(hexagon, rho):
+    # rows shrunk to a_i @ x + b_i >= rho move the corners (+-pi/2, +-pi/2)
+    # to (+-(pi/2 - rho), +-pi/2) and (0, +-pi) to (0, +-(pi - rho))
+    A, b, _ = hexagon.rows.term_rows(0)
+    h, f = np.pi / 2 - rho, np.pi - rho
+    corners = [[-h, -np.pi / 2], [-h, np.pi / 2], [0.0, -f], [0.0, f],
+               [h, -np.pi / 2], [h, np.pi / 2]]
+    np.testing.assert_allclose(_sorted_rows(vertices(A, b - rho)), corners,
+                               rtol=0.0, atol=1e-15)
+
+
+def test_vertices_of_the_slab_and_a_3d_box(slab):
+    A, b, _ = slab.rows.term_rows(0)
+    np.testing.assert_array_equal(_sorted_rows(vertices(A, b)), [[-1.0], [1.0]])
+    # [-1, 1] x [-2, 2] x [-3, 3]: 20 choices of 3 rows, 8 of them nonsingular
+    half = np.array([1.0, 2.0, 3.0])
+    A, b = np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([half, half])
+    corners = np.array(list(itertools.product(*[(-w, w) for w in half])))
+    np.testing.assert_array_equal(_sorted_rows(vertices(A, b)), corners)
+
+
+def test_term_vertices_2d_is_the_counterclockwise_hexagon():
+    from polysafe.plots import term_vertices_2d
+
+    # deduplicated on the corners rounded to 12 decimals
+    h = np.pi / 2
+    np.testing.assert_allclose(
+        term_vertices_2d(hexagon_spec()),
+        [[-h, -h], [0.0, -np.pi], [h, -h], [h, h], [0.0, np.pi], [-h, h]],
+        rtol=0.0, atol=1e-12)
 
 
 # --- index-set enumeration ----------------------------------------------------
