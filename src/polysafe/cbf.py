@@ -4,7 +4,7 @@ Each position half-space row a_i @ x1 + b_i contributes a companion
 velocity row a_i @ x2 + gamma * (a_i @ x1 + b_i) - epsilon; the extended
 safe set C^s is the superlevel set of the max-min over both families.
 This module builds that barrier, certifies its compactness (from the
-spec's term extents) and velocity bound (by LP on the spec's rows),
+spec's term extents) and velocity bound (from vertices on the spec's rows),
 lifts safe positions into C^s, samples its boundary, and checks the
 boundary safety condition against a plant.
 """

@@ -15,24 +15,20 @@ basic solution.  Each simplex iteration inverts its basis afresh, and
 the basic solution, the multipliers and the entering column are products
 with that inverse; an inverse updated pivot by pivot gathers error, and
 then calls a basis optimal whose x misses a row by far more than the
-tolerance.  Two first bases come with their inverse: phase 1's is the
-identity, never inverted, and a start's is inverted once, for its
-feasibility test.  Instances here are tiny (a few variables, tens of
-rows), so the ratio test is one pass in Python floats over the entering
-column d: each row with d > PIVOT_TOL blocks at max(xB, 0) / d (no such
-row: the step is unbounded), and of the rows within 1e-12 of the
-shortest ratio the one with the smallest basis index leaves, Bland's
-anti-cycling tie-break.  Phase 2's reduced costs are the residuals
-a_i @ x - b_i, so its optimality test (OPT_TOL) makes an optimal x meet
-every row to about 1e-12.  Phase 1 reads only (A, c) and stops once no
-artificial is basic; a solve with the same (A, c) skips it, given its
-last basis as `start`.
+tolerance.  Phase 1's first basis is the identity, never inverted.
+Instances here are tiny (a few variables, tens of rows), so the ratio
+test is one pass in Python floats over the entering column d: each row
+with d > PIVOT_TOL blocks at max(xB, 0) / d (no such row: the step is
+unbounded), and of the rows within 1e-12 of the shortest ratio the one
+with the smallest basis index leaves, Bland's anti-cycling tie-break.
+Phase 1 stops once no artificial is basic.  Phase 2's reduced costs are
+the residuals a_i @ x - b_i, so its optimality test (OPT_TOL) makes an
+optimal x meet every row to about 1e-12.
 tests/test_lp.py checks all this against scipy and by hand.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +60,6 @@ class LpProblem:
             raise ValueError("non-finite coefficients in LP data")
         self.__dict__.update(c=c, A=A, b=b)  # past the frozen __setattr__
 
-    @classmethod
-    def _over(cls, c, A, b):  # float arrays of matching shapes, checked finite before
-        p = object.__new__(cls)
-        p.__dict__.update(c=c, A=A, b=b)
-        return p
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -78,8 +68,7 @@ class LpSolution:
     For an `optimal` solve, `dual` holds multipliers mu >= 0
     with c + A.T @ mu = 0 and mu_i * (a_i @ x - b_i) = 0; the dual
     objective is -b @ mu.  For `unbounded`, `ray` is an improving
-    direction (inf-norm 1) that stays feasible.  `start` is the dual basis
-    phase 1 ended at (None if it found no dual solution or dropped a row).
+    direction (inf-norm 1) that stays feasible.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -87,7 +76,6 @@ class LpSolution:
     objective: float | None = None
     dual: np.ndarray | None = None
     ray: np.ndarray | None = None
-    start: tuple[int, ...] | None = None
 
     @property
     def optimal(self) -> bool:
@@ -157,7 +145,7 @@ def _simplex_core(t: _Tableau, tol: float, n_real: int | None = None):
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
-def lp_solve(p: LpProblem, start: tuple[int, ...] | None = None) -> LpSolution:
+def lp_solve(p: LpProblem) -> LpSolution:
     """Solve a dense LP; see LpProblem/LpSolution for conventions."""
     c, A, b = p.c, p.A, p.b
     m, n = A.shape
@@ -168,57 +156,51 @@ def lp_solve(p: LpProblem, start: tuple[int, ...] | None = None) -> LpSolution:
     bs = np.abs(c)
     As = sign[:, None] * A.T
 
-    keep = np.ones(n, dtype=bool)
-    basis = Binv = None   # phase 1 finds a basis unless `start` is a feasible one
-    if start is not None and len(set(start).intersection(range(m))) == len(start) == n:
-        with contextlib.suppress(np.linalg.LinAlgError):   # a singular start is ignored
-            Binv = np.linalg.inv(As[:, list(start)])   # phase 2's first inverse
-            basis = list(start) if (Binv @ bs >= -FEAS_TOL).all() else None
-    if basis is None:
-        # phase 1: one artificial per dual row, written beside the dual's columns
-        A1 = np.eye(n, m + n, m)
-        A1[:, :m] = As
-        c1 = np.zeros(m + n)
-        c1[m:] = 1.0
-        t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)), Binv=np.eye(n))
-        status, xB, y = _simplex_core(t, FEAS_TOL, m)
-        assert status == "optimal"  # phase 1 is always bounded below by 0
-        if xB is not None and c1[t.basis] @ xB > 1e-7:
-            # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
-            # c @ ray > 0, so the LP is unbounded unless it is infeasible
-            if lp_feasible_point(A, b) is None:
-                return LpSolution(status="infeasible")
-            return LpSolution(status="unbounded", ray=-sign * y / np.abs(y).max())
+    # phase 1: one artificial per dual row, written beside the dual's columns
+    A1 = np.eye(n, m + n, m)
+    A1[:, :m] = As
+    c1 = np.zeros(m + n)
+    c1[m:] = 1.0
+    t = _Tableau(A1, bs, c1, basis=list(range(m, m + n)), Binv=np.eye(n))
+    status, xB, y = _simplex_core(t, FEAS_TOL, m)
+    assert status == "optimal"  # phase 1 is always bounded below by 0
+    if xB is not None and c1[t.basis] @ xB > 1e-7:
+        # no dual solution; the phase-1 multipliers give A @ ray >= 0 and
+        # c @ ray > 0, so the LP is unbounded unless it is infeasible
+        if lp_feasible_point(A, b) is None:
+            return LpSolution(status="infeasible")
+        return LpSolution(status="unbounded", ray=-sign * y / np.abs(y).max())
 
-        # drive leftover (degenerate) artificials out of the basis; one that
-        # cannot leave marks its own dual row as redundant
-        for art in [j for j in t.basis if j >= m]:
-            k = t.basis.index(art)
-            tab_row = np.linalg.solve(A1[np.ix_(keep, t.basis)], As[keep])[k]
-            entering = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-9)
-                        if j not in t.basis]
-            if entering:
-                t.basis[k] = int(entering[0])
-            else:
-                keep[art - m] = False
-                del t.basis[k]
-        basis, Binv = t.basis, None   # not a rejected start's inverse
-    start = tuple(basis) if keep.all() else None
-    if start is None:   # a redundant dual row was dropped
+    # drive leftover (degenerate) artificials out of the basis; one that
+    # cannot leave marks its own dual row as redundant
+    keep = np.ones(n, dtype=bool)
+    for art in [j for j in t.basis if j >= m]:
+        k = t.basis.index(art)
+        tab_row = np.linalg.solve(A1[np.ix_(keep, t.basis)], As[keep])[k]
+        entering = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-9)
+                    if j not in t.basis]
+        if entering:
+            t.basis[k] = int(entering[0])
+        else:
+            keep[art - m] = False
+            del t.basis[k]
+
+    dropped = not keep.all()
+    if dropped:   # a redundant dual row
         As, bs = As[keep], bs[keep]
 
     # phase 2: an unbounded dual means an empty primal
-    t2 = _Tableau(As, bs, -b, basis=basis, Binv=Binv)
+    t2 = _Tableau(As, bs, -b, basis=t.basis)
     status, xB, y = _simplex_core(t2, OPT_TOL)
     if status == "unbounded":
-        return LpSolution(status="infeasible", start=start)
+        return LpSolution(status="infeasible")
     # x is the dual's simplex multipliers, unsigned; mu its basic solution
-    x = -sign * y if start is not None else np.zeros(n)
-    if start is None:
+    x = np.zeros(n) if dropped else -sign * y
+    if dropped:
         x[keep] = -sign[keep] * y
     mu = np.zeros(m)
     mu[t2.basis] = xB
-    return LpSolution("optimal", x, float(c @ x), mu, start=start)
+    return LpSolution("optimal", x, float(c @ x), mu)
 
 
 def lp_feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

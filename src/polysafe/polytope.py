@@ -23,6 +23,9 @@ from .errors import EmptySet, ValidationError, integer, parsing, real
 from .lp import LpProblem, lp_solve, lp_feasible_point
 
 ENUMERATION_CAP = 20
+_RANK_RTOL = 1e-12  # rows are independent above this share of their lengths
+_RAY_RTOL = 1e-9    # a ray's component counts above this share of its largest
+_BLOCK = 4096       # index subsets per batch in `vertices`
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,11 @@ class SafetySpec:
     and distinct half-spaces must have linearly independent augmented
     vectors (a_i, b_i).  `A` (r x n) and `offsets` hold the half-spaces
     in index order and `rows` the term rows stacked for `max_min`.
-    `term_extents` (terms x 2 x n) holds each term's `extents`, solved
-    once (2n LPs per term): an empty term is rejected from those same
-    LPs, and the certificate's boundedness test, the bounding box and
-    the barrier's compactness and velocity extents read them, and
-    `term_starts` their phase-1 bases (`velocity_extents`).  All are built
-    once and read-only.
+    `term_extents` (terms x 2 x n) holds each term's `extents`, from its
+    vertices and extreme rays with no LP: a term with no vertex is rejected
+    as empty, and the certificate's boundedness test, the bounding box and
+    the barrier's compactness and velocity extents read them.  All are
+    built once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -134,19 +136,17 @@ class SafetySpec:
                 f"half-spaces {i} and {j} have dependent augmented vectors"
             )
         rows = TermRows(A, offsets, terms)
-        solved = []
+        ext = []
         for li in range(len(terms)):
             try:
-                solved.append(_extents(*rows.term_rows(li)[:2]))
+                ext.append(extents(*rows.term_rows(li)[:2]))
             except EmptySet:
                 raise ValidationError(f"term {li} is an empty intersection") from None
-        ext, starts = zip(*solved)
         for name, arr in (("A", A), ("offsets", offsets),
                           ("term_extents", np.array(ext))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "term_starts", starts)
 
     @property
     def r(self) -> int:
@@ -210,52 +210,69 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
 
 
 def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
-    from the LPs c = +-e_j, each with its phase 1 (`velocity_extents` skips it).
+    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0}
+    (A's rows nonzero), from the set's vertices and extreme rays, with no LP.
 
-    An unbounded LP gives -inf or +inf; an empty set raises EmptySet.
+    A of rank r < n leaves lines along its null space, and the set is those
+    lines plus {Q y | A Q y + b >= 0}, Q (n x r) an orthonormal basis of A's
+    row space; at full rank Q = I and x = y.  The vertices are
+    `vertices(A Q, b)`, and none means an empty set (EmptySet).  The extreme
+    rays are the vertices of the recession cone's section
+    {d | A Q d >= 0, s @ d = 1}, s the sum of A Q's rows.  Each extent is
+    the vertices' min or max, or -inf or +inf where a ray or a line has a
+    component of that sign above _RAY_RTOL of its largest.  The rank counts
+    the singular values above _RANK_RTOL of the largest, with A's rows
+    scaled to unit length as in `vertices`' test.
     """
-    return _extents(A, b)[0]
-
-
-def _extents(A, b, starts=None):
-    """`extents` with LP k started from starts[k], and the LPs' `start`s.
-    (A, b) is checked once, and the 2n LPs are built over the checked data."""
-    d = A.shape[1]
-    lo, hi = np.empty((2, d))
-    found = []
-    p = LpProblem(c=np.zeros(d), A=A, b=-b)
-    for j in range(d):
-        for sign, out in ((1.0, hi), (-1.0, lo)):
-            c = np.zeros(d)
-            c[j] = sign
-            sol = lp_solve(LpProblem._over(c, p.A, p.b), starts and starts[len(found)])
-            found.append(sol.start)
-            if sol.status == "infeasible":
-                raise EmptySet("half-space intersection is empty")
-            out[j] = sol.x[j] if sol.optimal else sign * np.inf
-    return (lo, hi), tuple(found)
+    n = A.shape[1]
+    _, sv, Vt = np.linalg.svd(A / np.linalg.norm(A, axis=1)[:, None])
+    r = int((sv > _RANK_RTOL * sv[0]).sum())
+    AQ = A if r == n else A @ Vt[:r].T
+    V = vertices(AQ, b)
+    if not len(V):
+        raise EmptySet("half-space intersection is empty")
+    s = AQ.sum(axis=0)
+    rays = vertices(np.vstack([AQ, s, -s]),
+                    np.concatenate([np.zeros(len(b)), [-1.0, 1.0]]))
+    if r < n:
+        V, rays = V @ Vt[:r], np.vstack([rays @ Vt[:r], Vt[r:], -Vt[r:]])
+    beyond = _RAY_RTOL * np.abs(rays).max(axis=1, keepdims=True)
+    return (np.where((rays < -beyond).any(axis=0), -np.inf, V.min(axis=0)),
+            np.where((rays > beyond).any(axis=0), np.inf, V.max(axis=0)))
 
 
 def vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices (k x n) of {x | A @ x + b >= 0}: every n rows with
-    |det| >= 1e-12 solved as equalities, kept where no row is below -1e-9.
+    """Vertices (k x n) of {x | A @ x + b >= 0}: every n rows whose |det|
+    exceeds _RANK_RTOL times the product of their lengths, solved as
+    equalities, kept where no row is below -1e-9.  The n-row subsets are
+    taken _BLOCK at a time, so memory does not grow with their number.
     Not rounded, and a vertex on more than n rows repeats."""
     n = A.shape[1]
-    idx = np.array(list(itertools.combinations(range(len(b)), n)), dtype=int).reshape(-1, n)
-    idx = idx[np.abs(np.linalg.det(A[idx])) >= 1e-12]
-    X = np.linalg.solve(A[idx], -b[idx][..., None])[..., 0]
-    return X[(X @ A.T + b >= -1e-9).all(axis=1)]
+    lengths = np.linalg.norm(A, axis=1)
+    subsets = itertools.combinations(range(len(b)), n)
+    found = [np.zeros((0, n))]
+    while block := list(itertools.islice(subsets, _BLOCK)):
+        idx = np.array(block, dtype=int)
+        idx = idx[np.abs(np.linalg.det(A[idx])) > _RANK_RTOL * lengths[idx].prod(axis=1)]
+        X = np.linalg.solve(A[idx], -b[idx][..., None])[..., 0]
+        found.append(X[(X @ A.T + b >= -1e-9).all(axis=1)])
+    return np.concatenate(found)
 
 
 def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
     """Per term P, the 2 x n extents (lo_rho - hi, hi_rho - lo) of P_rho - P,
-    P_rho its rows shrunk to a_i @ x + b_i >= rho, from its LPs in phase 2 only
-    (the spec's `term_starts`); gamma times them bound the barrier's x2."""
+    P_rho its rows shrunk to a_i @ x + b_i >= rho; gamma times them bound the
+    barrier's x2.  A bounded P_rho's extents are its `vertices`' min and max
+    (none: EmptySet); an unbounded term's come from `extents`."""
     out = []
     for ell, (lo, hi) in enumerate(spec.term_extents):
         A, b, _ = spec.rows.term_rows(ell)
-        lo_rho, hi_rho = _extents(A, b - rho, spec.term_starts[ell])[0]
+        if not np.isfinite(hi - lo).all():
+            lo_rho, hi_rho = extents(A, b - rho)
+        elif len(V := vertices(A, b - rho)):
+            lo_rho, hi_rho = V.min(axis=0), V.max(axis=0)
+        else:
+            raise EmptySet(f"term {ell} shrunk by {rho!r} is empty")
         out.append((lo_rho - hi, hi_rho - lo))
     return np.array(out)
 

@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,12 +61,84 @@ def eval_barrier_naive(cbf, x):
     return best
 
 
+def lp_extents(A, b):
+    """(lo, hi) of each coordinate over {x | A @ x + b >= 0} from the
+    package's simplex: the 2n LPs c = +-e_j, -inf or +inf when unbounded."""
+    from polysafe.lp import LpProblem, lp_solve
+
+    d = A.shape[1]
+    lo, hi = np.empty((2, d))
+    for j in range(d):
+        for sign, out in ((1.0, hi), (-1.0, lo)):
+            c = np.zeros(d)
+            c[j] = sign
+            sol = lp_solve(LpProblem(c=c, A=A, b=-b))
+            assert sol.status != "infeasible"
+            out[j] = sol.x[j] if sol.optimal else sign * np.inf
+    return lo, hi
+
+
 def extended_extents_full(cbf):
     """Per extended term, the 2 x 2n extents of every coordinate (4n LPs)."""
-    from polysafe.polytope import extents
-
-    return np.array([extents(*cbf.term_rows(ell)[:2])
+    return np.array([lp_extents(*cbf.term_rows(ell)[:2])
                      for ell in range(len(cbf.spec.terms))])
+
+
+def _solve_exact(M, rhs):
+    """x with M x = rhs in Fractions by Gauss-Jordan elimination, or None if
+    M is singular."""
+    n = len(M)
+    T = [row + [r] for row, r in zip(M, rhs)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if T[i][k] != 0), None)
+        if p is None:
+            return None
+        T[k], T[p] = T[p], T[k]
+        for i in range(n):
+            if i != k and T[i][k] != 0:
+                f = T[i][k] / T[k][k]
+                T[i] = [a - f * c for a, c in zip(T[i], T[k])]
+    return [T[i][n] / T[i][i] for i in range(n)]
+
+
+def exact_extents(A, b):
+    """(lo, hi), lists of Fractions, of each coordinate over the bounded,
+    nonempty {x | A @ x + b >= 0}, its floats read exactly: every n-row
+    subset solved as equalities in rational arithmetic, and the min and max
+    over the solutions that meet every row exactly."""
+    A = [[Fraction(v) for v in row] for row in np.asarray(A, dtype=float).tolist()]
+    b = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+    n = len(A[0])
+    verts = []
+    for idx in itertools.combinations(range(len(b)), n):
+        x = _solve_exact([A[i] for i in idx], [-b[i] for i in idx])
+        if x is not None and all(sum(a * v for a, v in zip(row, x)) + bi >= 0
+                                 for row, bi in zip(A, b)):
+            verts.append(x)
+    assert verts, "no vertex: the set is empty or unbounded"
+    return ([min(v[j] for v in verts) for j in range(n)],
+            [max(v[j] for v in verts) for j in range(n)])
+
+
+def relative_errors(found, exact):
+    """|f - e| / max(|e|, 1) per pair of float f and Fraction e, flattened."""
+    return [float(abs(Fraction(f) - e) / max(abs(e), 1))
+            for f, e in zip(np.ravel(found).tolist(), np.ravel(exact).tolist())]
+
+
+def exact_velocity_extents(spec, rho, gamma=1.0):
+    """`gamma * velocity_extents(spec, rho)` in Fractions: per term, gamma
+    times (lo_rho - hi, hi_rho - lo) from `exact_extents` of the term rows
+    and of the same rows with the float offsets b - rho."""
+    out = []
+    for ell in range(len(spec.terms)):
+        A, b, _ = spec.rows.term_rows(ell)
+        lo, hi = exact_extents(A, b)
+        lo_rho, hi_rho = exact_extents(A, b - rho)
+        g = Fraction(gamma)
+        out.append(([g * (p - q) for p, q in zip(lo_rho, hi)],
+                    [g * (p - q) for p, q in zip(hi_rho, lo)]))
+    return out
 
 
 def sample_safe_positions(spec, count, seed):

@@ -3,30 +3,31 @@ under each of the seeds 2001-2020, each through `compute_cert`, and each
 certified one through the rest of the chain: the barrier at gamma = 1,
 epsilon = delta / 2, its compactness and velocity bound, a lift of every
 witness, 20 boundary samples and the safety condition for a double
-integrator with unbounded input.  Each barrier's velocity extents are
-solved again by `extents` LPs with no start, each running phase 1, and
-compared bit for bit with the barrier's own, whose LPs skip phase 1.  Each
-barrier is also written by `to_dict` and read back by `cbf_from_dict`,
-which checks its certificate against the spec.
+integrator with unbounded input.  Every term extent of each certified
+spec and every velocity extent of its barrier is checked against the exact
+optimum of the same float data (`_oracles.exact_extents`, rational
+arithmetic over every n-row subset).  Each barrier is also written by
+`to_dict` and read back by `cbf_from_dict`, which checks its certificate
+against the spec.
 
     PYTHONPATH=src python tests/certify_drawn_specs.py
 
 Prints the counts: specs drawn, rejected when built, certified, refused
 by exit code, witnesses, witnesses with h < 0, the worst witness h, the
-velocity extents compared with their cold solve and how many differ, the
-barriers read back and how many were refused or read with another delta,
+extents checked exactly, how many lie beyond 1e-14 of the exact optimum
+(relative to max(|e|, 1)) and the worst such error, the barriers read
+back and how many were refused or read with another delta,
 the chain's outcomes by error class, and the NumericalBreakdowns (a
 singular simplex basis) per step of STEPS.  Exits 1 if any spec exits 5 (a
 breakdown in the certificate included), any witness lies outside C, any
-velocity extents differ from their cold solve, a barrier is refused or
+extent lies beyond 1e-14 of the exact optimum, a barrier is refused or
 reads another delta when read back, the condition fails at a
 sample, the chain raises anything but a NumericalBreakdown, or a
-NumericalBreakdown arises in the compactness and velocity bound step,
-whose LPs are the spec's own rows shrunk by epsilon / gamma, or in
-sampling, which solves no LP.  Breakdowns in the other steps are
-counted, not gated.  Last it prints the number of
+NumericalBreakdown arises in the compactness and velocity bound step or
+in sampling, neither of which solves an LP.  Breakdowns in the other
+steps are counted, not gated.  Last it prints the number of
 `lp_solve` calls and a sha256 over every result in call order (status,
-start, x, dual, ray and objective), so that two trees whose LPs should
+x, dual, ray and objective), so that two trees whose LPs should
 agree bit for bit can be compared by one line; the digest is not gated.
 The read-back's LPs are neither counted nor hashed.
 """
@@ -42,6 +43,7 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from _oracles import exact_extents, exact_velocity_extents, relative_errors  # noqa: E402
 from test_geometry_properties import bounded_specs  # noqa: E402
 
 from polysafe import cbf as pcbf, lp as plp, polytope as ppoly, qp as pqp  # noqa: E402
@@ -57,12 +59,13 @@ from polysafe.cbf import (  # noqa: E402
 from polysafe.errors import NumericalBreakdown, PolysafeError  # noqa: E402
 from polysafe.inputs import Unbounded  # noqa: E402
 from polysafe.plant import double_integrator  # noqa: E402
-from polysafe.polytope import compute_cert, eval_h, extents  # noqa: E402
+from polysafe.polytope import compute_cert, eval_h  # noqa: E402
 
 SEEDS = range(2001, 2021)
 DRAWS = 50
 STEPS = ("certificate", "compactness and velocity bound", "lift", "sampling",
          "condition")
+EXACT_RTOL = 1e-14
 
 
 LP_MODULES = (plp, ppoly, pcbf, pqp)
@@ -74,10 +77,10 @@ def hash_lp_results(digest) -> list:
     result to `digest`, in call order; returns the one-item call counter."""
     solve, calls = LP_SOLVE, [0]
 
-    def hashed(problem, start=None):
-        sol = solve(problem, start)
+    def hashed(problem):
+        sol = solve(problem)
         calls[0] += 1
-        digest.update(repr((sol.status, sol.start)).encode())
+        digest.update(repr(sol.status).encode())
         for v in (sol.x, sol.dual, sol.ray, sol.objective):
             digest.update(b"None" if v is None else np.asarray(v, dtype=float).tobytes())
         return sol
@@ -114,17 +117,22 @@ def read_back(cbf, counts: collections.Counter) -> None:
         back is not None and back.cert.delta != cbf.cert.delta)
 
 
-def cold_velocity_extents(cbf) -> np.ndarray:
-    """`cbf.velocity_extents` from `extents` LPs with no start."""
-    rho = cbf.epsilon / cbf.gamma
-    out = []
-    for ell, lo_hi in enumerate(cbf.spec.term_extents):
-        A, b, _ = cbf.spec.rows.term_rows(ell)
-        out.append(cbf.gamma * (np.array(extents(A, b - rho)) - lo_hi[::-1]))
-    return np.array(out)
+def check_exactly(cbf, counts: collections.Counter, errors: list) -> None:
+    """Counts the spec's term extents and the barrier's velocity extents
+    checked against their exact optimum, and those beyond EXACT_RTOL of it;
+    appends each one's relative error to `errors`."""
+    spec = cbf.spec
+    exact = exact_velocity_extents(spec, cbf.epsilon / cbf.gamma, cbf.gamma)
+    found = relative_errors(cbf.velocity_extents, exact)
+    for ell in range(len(spec.terms)):
+        found += relative_errors(spec.term_extents[ell],
+                                 exact_extents(*spec.rows.term_rows(ell)[:2]))
+    counts["extents checked exactly"] += len(found)
+    counts["extents beyond 1e-14 of exact"] += sum(e > EXACT_RTOL for e in found)
+    errors.extend(found)
 
 
-def chain(spec, cert, counts: collections.Counter):
+def chain(spec, cert, counts: collections.Counter, errors: list):
     """The rest of the construction on a certified spec: yields the name of
     each step before it runs, and last the outcome's key."""
     yield "compactness and velocity bound"
@@ -132,9 +140,7 @@ def chain(spec, cert, counts: collections.Counter):
     read_back(cbf, counts)
     check_compactness(cbf)
     velocity_bound(cbf)
-    counts["velocity extents compared with their cold solve"] += 1
-    counts["velocity extents differing from their cold solve"] += (
-        cbf.velocity_extents.tobytes() != cold_velocity_extents(cbf).tobytes())
+    check_exactly(cbf, counts, errors)
     yield "lift"
     for y in cert.witnesses.values():
         lift_position(cbf, y)
@@ -146,9 +152,10 @@ def chain(spec, cert, counts: collections.Counter):
 
 
 def certify(counts: collections.Counter, breakdowns: collections.Counter,
-            worst: list) -> None:
+            worst: list, errors: list) -> None:
     """Draw DRAWS specs under each of SEEDS and tally what compute_cert and
-    the chain give."""
+    the chain give; the worst witness h of each spec goes to `worst`, and
+    each exactly checked extent's error to `errors`."""
     def one(data):
         try:   # a draw that fails an `assume` is not counted
             spec = data.draw(bounded_specs())
@@ -170,7 +177,7 @@ def certify(counts: collections.Counter, breakdowns: collections.Counter,
         counts["witnesses with h < 0"] += sum(v < 0.0 for v in h)
         worst.append(min(h))
         try:
-            for step in chain(spec, cert, counts):   # on a raise, step names the step
+            for step in chain(spec, cert, counts, errors):   # on a raise, step names the step
                 pass
             counts[step] += 1
         except NumericalBreakdown:
@@ -190,19 +197,21 @@ def main() -> int:
     counts: collections.Counter = collections.Counter()
     breakdowns: collections.Counter = collections.Counter()
     worst: list[float] = []
+    errors: list[float] = []
     digest = hashlib.sha256()
     calls = hash_lp_results(digest)
-    certify(counts, breakdowns, worst)
+    certify(counts, breakdowns, worst, errors)
     for key in sorted(counts):
         print(key, counts[key])
     print("worst witness h", min(worst, default=float("nan")))
+    print("worst extent error from exact", max(errors, default=float("nan")))
     for step in STEPS:
         print(f"NumericalBreakdown in {step}", breakdowns[step])
     print("lp_solve calls", calls[0], "sha256", digest.hexdigest())
     chain_failures = sum(v for k, v in counts.items()
                          if k.startswith("chain ") and k != "chain passed")
     return 1 if (counts["exit 5"] or counts["witnesses with h < 0"] or chain_failures
-                 or counts["velocity extents differing from their cold solve"]
+                 or counts["extents beyond 1e-14 of exact"]
                  or counts["barriers refused when read back"]
                  or counts["barriers read back with another delta"]
                  or breakdowns["compactness and velocity bound"]

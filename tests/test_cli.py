@@ -68,8 +68,8 @@ def test_construct_zero_offset_companion_row_exit_0(tmp_path):
 @pytest.mark.parametrize("gamma, per_component", [("3e9", "1.88495559e+10"),
                                                   ("1e15", "6.28318531e+15")])
 def test_construct_huge_gamma_exit_0(tmp_path, specfile, capsys, gamma, per_component):
-    # the velocity extents are gamma (P_rho - P), from LPs on the spec's own
-    # rows; LPs on the gamma-scaled rows read them unbounded from 2e9 on
+    # the velocity extents are gamma (P_rho - P), from vertices on the spec's
+    # own rows; LPs on the gamma-scaled rows read them unbounded from 2e9 on
     code = main(["construct", str(specfile), "--gamma", gamma, "--epsilon", "0.1",
                  "--witness", "0,0", "--out", str(tmp_path)])
     assert code == 0

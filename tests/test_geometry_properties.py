@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from _oracles import extended_extents_full
+from _oracles import (exact_extents, exact_velocity_extents, extended_extents_full,
+                      relative_errors)
 from polysafe.cbf import (
     build,
     check_compactness,
@@ -110,16 +111,20 @@ def _h_rows(spec, y):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_geometry_stored_extents_match_the_lps(data):
-    """What the spec and the barrier store equals what the LPs give, over
-    the certificate test's specs (the same seed draws the same specs)."""
+    """What the spec and the barrier store equals `extents` and
+    `velocity_extents` recomputed, lies within 1e-14 of the exact optimum
+    (relative to max(|e|, 1)), and agrees with the LPs over the extended
+    terms' 2n coordinates, over the certificate test's specs (the same seed
+    draws the same specs)."""
     try:
         spec = data.draw(bounded_specs())
     except PolysafeError as exc:
         assert exc.exit_code == 3, f"{type(exc).__name__}: {exc}"
         return
     for ell in range(len(spec.terms)):
-        lps = np.array(extents(*spec.rows.term_rows(ell)[:2]))
-        assert spec.term_extents[ell].tobytes() == lps.tobytes()
+        A, b, _ = spec.rows.term_rows(ell)
+        assert spec.term_extents[ell].tobytes() == np.array(extents(A, b)).tobytes()
+        assert max(relative_errors(spec.term_extents[ell], exact_extents(A, b))) <= 1e-14
     try:
         certs = [compute_cert(spec)]
     except PolysafeError as exc:
@@ -141,6 +146,8 @@ def test_random_geometry_stored_extents_match_the_lps(data):
             shrunk = np.array(extents(A, b - rho))
             product = gamma * (shrunk - spec.term_extents[ell][::-1])
             assert cbf.velocity_extents[ell].tobytes() == product.tobytes()
+        exact = exact_velocity_extents(spec, rho, gamma)
+        assert max(relative_errors(cbf.velocity_extents, exact)) <= 1e-14
         # the LPs over the extended term's 2n coordinates agree to round-off
         full = extended_extents_full(cbf)
         np.testing.assert_allclose(cbf.velocity_extents, full[:, :, spec.n:],

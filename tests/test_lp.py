@@ -251,100 +251,6 @@ def test_optimal_points_meet_every_row_of_the_margin_lps():
     assert solved > 100
 
 
-def _bits(sol):
-    """A solve result as bytes: status, start, x, dual, ray and objective."""
-    return (sol.status, sol.start) + tuple(
-        None if v is None else np.asarray(v, dtype=float).tobytes()
-        for v in (sol.x, sol.dual, sol.ray, sol.objective))
-
-
-def test_start_infeasible_for_this_dual_is_ignored(hexagon):
-    # max x1 and min x1 share A, but phase 1's last basis for max x1 solves
-    # min x1's dual A_S.T mu = -c with mu < 0: not a start there, so phase 1
-    # runs and the result is the cold one
-    A, b = hexagon.A, -hexagon.offsets
-    up = lp_solve(LpProblem(c=np.array([1.0, 0.0]), A=A, b=b))
-    down = LpProblem(c=np.array([-1.0, 0.0]), A=A, b=b)
-    assert np.linalg.solve(A[list(up.start)].T, -down.c).min() < -lp_module.FEAS_TOL
-    assert _bits(lp_solve(down, up.start)) == _bits(lp_solve(down))
-
-
-@pytest.mark.parametrize("start", [(2, 3), (0, 0), (0, 6), (0,), (0, 1, 2)],
-                         ids=["singular", "repeated", "foreign", "short", "long"])
-def test_start_that_is_no_basis_is_ignored(hexagon, start):
-    # rows 2 and 3 of the hexagon are parallel, so (2, 3) is a singular basis
-    p = LpProblem(c=np.array([0.0, 1.0]), A=hexagon.A, b=-hexagon.offsets)
-    assert _bits(lp_solve(p, start)) == _bits(lp_solve(p))
-
-
-def test_start_from_another_b_gives_the_cold_result(monkeypatch):
-    # phase 1 reads only (A, c), so the start of a solve with b shifted is
-    # where this solve's phase 1 ends too: it skips phase 1 and gives the
-    # cold result bit for bit
-    phase1 = []
-    core = lp_module._simplex_core
-
-    def counting(t, tol, n_real=None):
-        if n_real is not None:   # phase 1, from the artificials
-            phase1.append(t)
-        return core(t, tol, n_real)
-
-    monkeypatch.setattr(lp_module, "_simplex_core", counting)
-    rng = np.random.Generator(np.random.Philox(2024))
-    started = 0
-    for _ in range(200):
-        p = _random_problem(rng)
-        shifted = LpProblem(c=p.c, A=p.A, b=p.b + rng.normal(size=p.b.size))
-        start = lp_solve(shifted).start
-        cold = lp_solve(p)
-        runs = len(phase1)
-        assert _bits(lp_solve(p, start)) == _bits(cold)
-        if start is not None:
-            started += 1
-            assert len(phase1) == runs
-    assert started > 100
-
-
-def test_started_solve_inverts_its_start_once(monkeypatch):
-    # the start's feasibility test inverts its basis, and phase 2's first
-    # iteration takes that inverse: the start is the first matrix inverted,
-    # and each later inversion follows a pivot, so no two in a row are equal
-    inverted, phase1 = [], []
-    inv, solve, core = np.linalg.inv, np.linalg.solve, lp_module._simplex_core
-
-    def counting_inv(a):
-        inverted.append(np.array(a))
-        return inv(a)
-
-    def counting_solve(a, b):
-        inverted.append(np.array(a))
-        return solve(a, b)
-
-    def counting_core(t, tol, n_real=None):
-        if n_real is not None:   # phase 1, from the artificials
-            phase1.append(t)
-        return core(t, tol, n_real)
-
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    monkeypatch.setattr(lp_module, "_simplex_core", counting_core)
-    rng = np.random.Generator(np.random.Philox(2024))
-    started = 0
-    for _ in range(200):
-        p = _random_problem(rng)
-        shifted = LpProblem(c=p.c, A=p.A, b=p.b + rng.normal(size=p.b.size))
-        start = lp_solve(shifted).start
-        del inverted[:], phase1[:]
-        lp_solve(p, start)
-        if start is None or phase1:   # no start, or one this dual rejects
-            continue
-        started += 1
-        As = np.where(p.c > 0, -1.0, 1.0)[:, None] * p.A.T
-        assert inverted[0].tobytes() == As[:, list(start)].tobytes()
-        assert all(a.tobytes() != b.tobytes() for a, b in zip(inverted, inverted[1:]))
-    assert started > 100
-
-
 @pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
                    reason="phase 1 pivots on a tiny tied entry into a singular basis")
 def test_degenerate_tie_does_not_pivot_into_a_singular_basis():

@@ -23,6 +23,7 @@ from polysafe.polytope import (
     max_min_point,
     position_bounding_box,
     slab_spec,
+    velocity_extents,
     vertices,
 )
 
@@ -260,6 +261,69 @@ def test_extents_raise_on_empty_sets(n):
             extents(A, b)
 
 
+def test_extents_of_a_half_plane_run_along_its_line():
+    # x1 >= -1 in 2-D: rank 1, so x2 runs along a line, and x1 up a ray
+    A, b = np.array([[1.0, 0.0]]), np.array([1.0])
+    lo, hi = extents(A, b)
+    np.testing.assert_array_equal(lo, [-1.0, -np.inf])
+    np.testing.assert_array_equal(hi, [np.inf, np.inf])
+    np.testing.assert_array_equal(np.array([lo, hi]), np.array(_linprog_extents(A, b)))
+
+
+def test_extents_of_a_3d_slab():
+    # -1 <= x1 + x2 <= 2 in 3-D: rank 1, lines along the rest, every extent infinite
+    A, b = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]), np.array([1.0, 2.0])
+    lo, hi = extents(A, b)
+    np.testing.assert_array_equal(np.array([lo, hi]), np.array(_linprog_extents(A, b)))
+    # -1 <= x1 <= 2: x1 bounded, x2 and x3 free
+    A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    lo, hi = extents(A, b)
+    np.testing.assert_allclose(lo, [-1.0, -np.inf, -np.inf], rtol=1e-15)
+    np.testing.assert_allclose(hi, [2.0, np.inf, np.inf], rtol=1e-15)
+    np.testing.assert_allclose(np.array([lo, hi]), np.array(_linprog_extents(A, b)),
+                               rtol=1e-15)
+
+
+def test_extents_raise_on_an_empty_rank_deficient_set():
+    # x1 >= 1 and x1 <= -1 in 2-D
+    with pytest.raises(EmptySet):
+        extents(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+
+
+def test_vertices_solve_their_subsets_in_bounded_blocks(monkeypatch):
+    # one term with n = 8 and 20 rows has C(20, 8) = 125,970 vertex subsets and
+    # C(22, 8) = 319,770 for its rays: each solve takes at most a block of them
+    from polysafe import polytope as ppoly
+
+    rng = np.random.Generator(np.random.Philox(8))
+    A, b = _positive_basis(rng, 8)
+    A = np.vstack([A, rng.normal(size=(11, 8))])
+    b = np.concatenate([b, rng.uniform(0.5, 2.0, size=11)])
+    batches, solve = [], np.linalg.solve
+
+    def recording(a, rhs):
+        batches.append(len(a))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    lo, hi = extents(A, b)
+    assert len(batches) > 2 and max(batches) <= ppoly._BLOCK
+    np.testing.assert_allclose(np.array([lo, hi]), np.array(_linprog_extents(A, b)),
+                               rtol=1e-9, atol=1e-9)
+
+
+def test_velocity_extents_of_an_unbounded_term_are_infinite():
+    # x1 >= -1 in 2-D: P_rho has no vertex, and P_rho - P is unbounded both ways
+    spec = SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0),), terms=((0,),), n=2)
+    assert not np.isfinite(velocity_extents(spec, 0.5)).any()
+
+
+def test_velocity_extents_raise_on_an_empty_shrunk_term(hexagon):
+    # no point of the hexagon lies pi/2 inside every row
+    with pytest.raises(EmptySet):
+        velocity_extents(hexagon, 2.0)
+
+
 def test_bounding_box_of_a_union_is_the_hull_of_term_extents():
     # the square [-1, 1]^2 and the rectangle [2, 4] x [-0.5, 2]
     hs = tuple(_hs(a, b) for a, b in [
@@ -296,6 +360,20 @@ def test_vertices_of_the_slab_and_a_3d_box(slab):
     A, b = np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([half, half])
     corners = np.array(list(itertools.product(*[(-w, w) for w in half])))
     np.testing.assert_array_equal(_sorted_rows(vertices(A, b)), corners)
+
+
+@pytest.mark.parametrize("scale", [(1e-7, 1e-7, 1e-7, 1e-7), (1e7, 1e-7, 1e7, 1e-7)],
+                         ids=["short", "mixed"])
+def test_vertices_and_extents_do_not_depend_on_row_lengths(scale):
+    # the unit square with its rows scaled: "short" makes every corner's |det|
+    # 1e-14, and "mixed" spreads the singular values 1e14 apart, yet the rows
+    # are orthogonal either way
+    b = np.array(scale)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * b[:, None]
+    corners = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+    np.testing.assert_allclose(_sorted_rows(vertices(A, b)), corners, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.array(extents(A, b)), [[-1.0, -1.0], [1.0, 1.0]],
+                               rtol=0, atol=1e-15)
 
 
 def test_term_vertices_2d_is_the_counterclockwise_hexagon():
