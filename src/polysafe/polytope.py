@@ -26,6 +26,7 @@ ENUMERATION_CAP = 20
 _RANK_RTOL = 1e-12  # rows are independent above this share of their lengths
 _RAY_RTOL = 1e-9    # a ray's component counts above this share of its largest
 _BLOCK = 4096       # index subsets per batch in `vertices`
+_SUBSET_CAP = math.comb(ENUMERATION_CAP, ENUMERATION_CAP // 2)  # C(20, 10)
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,11 @@ class SafetySpec:
     vectors (a_i, b_i).  `A` (r x n) and `offsets` hold the half-spaces
     in index order and `rows` the term rows stacked for `max_min`.
     `term_extents` (terms x 2 x n) holds each term's `extents`, from its
-    vertices and extreme rays with no LP: a term with no vertex is rejected
-    as empty, and the certificate's boundedness test, the bounding box and
-    the barrier's compactness and velocity extents read them.  All are
-    built once and read-only.
+    vertices and extreme rays with no LP: a term whose m rows have over
+    C(20, 10) subsets of a size k <= n is rejected before they are
+    enumerated, one with no vertex as empty, and the certificate's
+    boundedness test, the bounding box and the barrier's compactness and
+    velocity extents read them.  All are built once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -124,6 +126,9 @@ class SafetySpec:
                 raise ValidationError(f"term index out of range 0..{r - 1}: {t}")
             if len(set(t)) != len(t):
                 raise ValidationError(f"duplicate index in term {t}")
+        for li, t in enumerate(terms):   # `extents` takes C(m, k) subsets, k <= n
+            if math.comb(m := len(t), k := min(self.n, m // 2)) > _SUBSET_CAP:
+                raise ValidationError(f"term {li}: C({m}, {k}) row subsets exceed the cap")
         A = np.array([h.a for h in hs])
         offsets = np.array([h.b for h in hs])
         aug = np.column_stack([A, offsets])
@@ -232,8 +237,7 @@ def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not len(V):
         raise EmptySet("half-space intersection is empty")
     s = AQ.sum(axis=0)
-    rays = vertices(np.vstack([AQ, s, -s]),
-                    np.concatenate([np.zeros(len(b)), [-1.0, 1.0]]))
+    rays = vertices(np.vstack([AQ, s]), np.append(np.zeros(len(b)), -1.0), on_last=True)
     if r < n:
         V, rays = V @ Vt[:r], np.vstack([rays @ Vt[:r], Vt[r:], -Vt[r:]])
     beyond = _RAY_RTOL * np.abs(rays).max(axis=1, keepdims=True)
@@ -241,15 +245,17 @@ def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where((rays > beyond).any(axis=0), np.inf, V.max(axis=0)))
 
 
-def vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def vertices(A: np.ndarray, b: np.ndarray, on_last: bool = False) -> np.ndarray:
     """Vertices (k x n) of {x | A @ x + b >= 0}: every n rows whose |det|
     exceeds _RANK_RTOL times the product of their lengths, solved as
-    equalities, kept where no row is below -1e-9.  The n-row subsets are
-    taken _BLOCK at a time, so memory does not grow with their number.
-    Not rounded, and a vertex on more than n rows repeats."""
+    equalities, kept where no row is below -1e-9 (`on_last`: the last row
+    and n - 1 others).  The subsets are taken _BLOCK at a time, so memory
+    does not grow with their number.  Not rounded, and a vertex on more
+    than n rows repeats."""
     n = A.shape[1]
+    m = len(b) - on_last
     lengths = np.linalg.norm(A, axis=1)
-    subsets = itertools.combinations(range(len(b)), n)
+    subsets = (c + (m,) * on_last for c in itertools.combinations(range(m), n - on_last))
     found = [np.zeros((0, n))]
     while block := list(itertools.islice(subsets, _BLOCK)):
         idx = np.array(block, dtype=int)
@@ -262,18 +268,12 @@ def vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
     """Per term P, the 2 x n extents (lo_rho - hi, hi_rho - lo) of P_rho - P,
     P_rho its rows shrunk to a_i @ x + b_i >= rho; gamma times them bound the
-    barrier's x2.  A bounded P_rho's extents are its `vertices`' min and max
-    (none: EmptySet); an unbounded term's come from `extents`."""
+    barrier's x2.  P_rho's extents are its `extents` (EmptySet if it is
+    empty); a bounded P_rho's are its vertices' min and max."""
     out = []
     for ell, (lo, hi) in enumerate(spec.term_extents):
         A, b, _ = spec.rows.term_rows(ell)
-        if not np.isfinite(hi - lo).all():
-            lo_rho, hi_rho = extents(A, b - rho)
-        elif len(V := vertices(A, b - rho)):
-            lo_rho, hi_rho = V.min(axis=0), V.max(axis=0)
-        else:
-            raise EmptySet(f"term {ell} shrunk by {rho!r} is empty")
-        out.append((lo_rho - hi, hi_rho - lo))
+        out.append(np.array(extents(A, b - rho)) - (hi, lo))
     return np.array(out)
 
 

@@ -123,6 +123,20 @@ def test_construct_unbounded_geometry_exit_3(tmp_path):
     assert code == 3
 
 
+def test_construct_term_with_too_many_vertex_subsets_exit_3(tmp_path, capsys):
+    # 30 rows in n = 15: C(30, 15) vertex subsets, refused before enumeration
+    rng = np.random.Generator(np.random.Philox(30))
+    spec = {"n": 15, "terms": [list(range(1, 31))],
+            "halfspaces": [{"a": rng.normal(size=15).tolist(), "b": 1.0}
+                           for _ in range(30)]}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(spec))
+    code = main(["construct", str(path), "--gamma", "1", "--epsilon", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert "C(30, 15) row subsets exceed the cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gamma, epsilon", [("nan", "0.1"), ("inf", "0.1"),
                                             ("10", "nan")])
 def test_construct_non_finite_parameter_exit_2(tmp_path, specfile, capsys,

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -292,7 +294,7 @@ def test_extents_raise_on_an_empty_rank_deficient_set():
 
 def test_vertices_solve_their_subsets_in_bounded_blocks(monkeypatch):
     # one term with n = 8 and 20 rows has C(20, 8) = 125,970 vertex subsets and
-    # C(22, 8) = 319,770 for its rays: each solve takes at most a block of them
+    # C(20, 7) = 77,520 for its rays: each solve takes at most a block of them
     from polysafe import polytope as ppoly
 
     rng = np.random.Generator(np.random.Philox(8))
@@ -308,6 +310,7 @@ def test_vertices_solve_their_subsets_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording)
     lo, hi = extents(A, b)
     assert len(batches) > 2 and max(batches) <= ppoly._BLOCK
+    assert sum(batches) <= math.comb(20, 8) + math.comb(20, 7)   # each ray on s
     np.testing.assert_allclose(np.array([lo, hi]), np.array(_linprog_extents(A, b)),
                                rtol=1e-9, atol=1e-9)
 
@@ -415,6 +418,26 @@ def test_s_cap_disjoint_union_matches_grid_oracle():
             if ((vals >= 0.0).all(axis=0) & inside).any():
                 expected.add(frozenset(combo))
     assert got == expected
+
+
+@pytest.mark.parametrize("r, n", [(21, 10), (30, 15), (40, 20)])
+def test_spec_refuses_a_term_with_too_many_vertex_subsets(r, n):
+    # C(r, n) row subsets are beyond C(20, 10): refused before any is enumerated
+    rng = np.random.Generator(np.random.Philox(r))
+    d = {"n": n, "terms": [list(range(1, r + 1))],
+         "halfspaces": [{"a": rng.normal(size=n).tolist(), "b": 1.0} for _ in range(r)]}
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=rf"term 0: C\({r}, {n}\) row subsets"):
+        SafetySpec.from_dict(d)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spec_keeps_a_term_at_the_subset_cap():
+    # 20 rows in n = 10, the most a spec within the enumeration cap has
+    rng = np.random.Generator(np.random.Philox(20))
+    hs = tuple(_hs(rng.normal(size=10), 1.0) for _ in range(20))
+    spec = SafetySpec(halfspaces=hs, terms=(tuple(range(20)),), n=10)
+    assert spec.term_extents.shape == (1, 2, 10)
 
 
 def test_s_cap_enumeration_cap():
