@@ -197,15 +197,19 @@ def build(spec: SafetySpec, cert: GeometryCert, gamma: float,
 
 
 def cbf_from_dict(d: dict) -> ExtendedCbf:
-    """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire).
-    The certificate is checked as compute_cert makes it (ValidationError)."""
+    """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire, each
+    index set once); the certificate is checked as compute_cert's is (ValidationError)."""
     spec = SafetySpec.from_dict(d)
+    witnesses = {}
     with parsing("barrier field 'cert'", ValidationError):
-        witnesses = {frozenset(integer(i, "indices") - 1 for i in e["indices"]):
-                     np.reshape(real(e["y"], "y"), spec.n) for e in d["cert"]["witnesses"]}
+        for e in d["cert"]["witnesses"]:
+            I = frozenset(integer(i, "indices") - 1 for i in e["indices"])
+            if I in witnesses:
+                raise ValidationError(f"cert names indices {sorted(i + 1 for i in I)} twice")
+            witnesses[I] = np.reshape(real(e["y"], "y"), spec.n)
         delta = real(d["cert"]["delta"], "delta")
     s_cap = enumerate_s_cap(spec)
-    if witnesses.keys() != set(s_cap):
+    if witnesses.keys() != s_cap.keys():
         raise ValidationError(f"cert witnesses must name the {len(s_cap)} index sets "
                               "that meet the safety set")
     cert = certify_witnesses(spec, ((I, witnesses[I]) for I in s_cap))

@@ -277,18 +277,21 @@ def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
     return np.array(out)
 
 
-def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
-    """All nonempty I whose half-space intersection meets the safety set.
-
-    Exhaustive over the 2^r - 1 subsets with one feasibility LP per
-    distinct union I | term that is not a term itself (the spec has
-    shown every term nonempty); capped at r <= ENUMERATION_CAP.
-    """
+def enumerate_s_cap(spec: SafetySpec) -> dict[frozenset[int], frozenset[int]]:
+    """{I: U} for every nonempty I whose half-spaces meet the safety set, in
+    canonical order; U = I | term for the first term it is feasible with.
+    Exhaustive over the 2^r - 1 subsets with one feasibility LP per distinct
+    union that is not a term (the spec has shown every term nonempty).  A
+    spec no certificate admits is refused first (ValidationError): one with
+    r > ENUMERATION_CAP, or an unbounded term, read from its stored extents."""
     if spec.r > ENUMERATION_CAP:
         raise ValidationError(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
+    for li, lo_hi in enumerate(spec.term_extents):
+        if not np.isfinite(lo_hi).all():
+            raise ValidationError(f"term {li} is unbounded")
     term_sets = [frozenset(t) for t in spec.terms]
     cache = dict.fromkeys(term_sets, True)
-    result = []
+    result = {}
     for size in range(1, spec.r + 1):
         for combo in itertools.combinations(range(spec.r), size):
             I = frozenset(combo)
@@ -299,7 +302,7 @@ def enumerate_s_cap(spec: SafetySpec) -> list[frozenset[int]]:
                     cache[union] = lp_feasible_point(
                         spec.A[idx], -spec.offsets[idx]) is not None
                 if cache[union]:
-                    result.append(I)
+                    result[I] = union
                     break
     return result
 
@@ -316,9 +319,8 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
     whichever vertex the simplex reaches: a change to the pivoting in
     lp.py may move it (a pinned witness does not move).
     """
-    I = frozenset(I)
     idx_I = sorted(I)
-    n = spec.n
+    c = np.eye(spec.n + 1)[-1]
     best = None
     for t in spec.terms:
         # variables (x, t_margin); maximize t_margin with h_i(x) >= t_margin
@@ -327,15 +329,13 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
         margin_col = np.concatenate([-np.ones(len(idx_I)), np.zeros(len(t))])
         A, b = np.column_stack([spec.A[idx], margin_col]), -spec.offsets[idx]
         b[len(idx_I):] += 1e-12 * np.maximum(1.0, np.abs(b[len(idx_I):]))
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
         sol = lp_solve(LpProblem(c=c, A=A, b=b))
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
             raise ValidationError("witness margin LP unbounded; positions not compact")
         if best is None or sol.objective > best[1] + 1e-12:
-            best = (sol.x[:n], sol.objective)
+            best = (sol.x[:spec.n], sol.objective)
     if best is None:
         raise ValidationError(f"index set {sorted(I)} does not meet the safety set")
     y, margin = best
@@ -347,30 +347,25 @@ def max_min_point(spec: SafetySpec, I: frozenset[int]) -> tuple[np.ndarray, floa
 
 
 def compute_cert(spec: SafetySpec, overrides=None) -> GeometryCert:
-    """Assemble the geometry certificate.
-
-    Each index set's witness is `overrides`, one point pinned for all, if
-    given, and else max_min_point's LP vertex, which lies in C and may move
-    when lp.py's pivoting changes.  Every witness's margin is evaluated at
-    the witness: its r row values h_i(y) once, then their minimum over
-    each I, so delta is the smallest margin one attains.  Boundedness is
-    read from the spec's stored term extents.  Raises ValidationError if
-    any term is unbounded or a witness fails its strict margin.
-    """
-    for li, lo_hi in enumerate(spec.term_extents):
-        if not np.isfinite(lo_hi).all():
-            raise ValidationError(f"term {li} is unbounded")
+    """The geometry certificate: each index set I takes the witness of its
+    union U (`enumerate_s_cap`), whose margin on I is at least U's, so
+    certify_witnesses checks one witness per distinct U, and delta is the
+    smallest margin over every I (a maximal I is its own union).  It is
+    `overrides` if given (a failure named by its first failing row), else
+    max_min_point's LP vertex for U, in C, which may move with lp.py."""
     s_cap = enumerate_s_cap(spec)
-    pinned = None if overrides is None else np.asarray(overrides, dtype=float)
-    if pinned is not None:
-        if not contains(spec, pinned):
+    unions = list(dict.fromkeys(s_cap.values()))
+    if overrides is None:
+        pairs = ((U, max_min_point(spec, U)[0]) for U in unions)
+    else:
+        y = np.asarray(overrides, dtype=float)
+        if not contains(spec, y):
             raise ValidationError("override witness lies outside the safety set")
-        vals = (pinned @ spec.A.T + spec.offsets).tolist()
-        delta = min(vals[i] for i in frozenset().union(*s_cap))   # the rows s_cap covers
-        if delta > 0.0:
-            return GeometryCert(witnesses=dict.fromkeys(s_cap, pinned), delta=float(delta))
-    return certify_witnesses(spec, ((I, max_min_point(spec, I)[0] if pinned is None
-                                     else pinned) for I in s_cap))
+        vals = (y @ spec.A.T + spec.offsets).tolist()   # its first failing row names it
+        failing = [frozenset([i]) for i in sorted(frozenset().union(*unions)) if not vals[i] > 0]
+        pairs = [(U, y) for U in failing[:1] + unions]
+    cert = certify_witnesses(spec, pairs)
+    return GeometryCert({I: cert.witnesses[U] for I, U in s_cap.items()}, cert.delta)
 
 
 def certify_witnesses(spec: SafetySpec, pairs) -> GeometryCert:

@@ -13,7 +13,8 @@ against the spec.
     PYTHONPATH=src python tests/certify_drawn_specs.py
 
 Prints the counts: specs drawn, rejected when built, certified, refused
-by exit code, witnesses, witnesses with h < 0, the worst witness h, the
+by exit code, witnesses, the distinct unions that share them (one margin-LP
+witness each), witnesses with h < 0, the worst witness h, the
 extents checked exactly, how many lie beyond 1e-14 of the exact optimum
 (relative to max(|e|, 1)) and the worst such error, the barriers read
 back and how many were refused or read with another delta,
@@ -174,6 +175,7 @@ def certify(counts: collections.Counter, breakdowns: collections.Counter,
         counts["certified"] += 1
         h = [eval_h(spec, y) for y in cert.witnesses.values()]
         counts["witnesses"] += len(h)
+        counts["witness unions"] += len({id(y) for y in cert.witnesses.values()})
         counts["witnesses with h < 0"] += sum(v < 0.0 for v in h)
         worst.append(min(h))
         try:

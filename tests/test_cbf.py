@@ -218,8 +218,6 @@ def test_certification_lp_budget(monkeypatch):
     from polysafe import lp as plp
     from polysafe.polytope import position_bounding_box
 
-    core = plp._simplex_core
-
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
@@ -232,9 +230,20 @@ def test_certification_lp_budget(monkeypatch):
     for gamma, eps in ((1.0, 0.5), (3.0, 0.2), (100.0, 1.0)):
         velocity_bound(build(spec, cert, gamma, eps))
     position_bounding_box(spec)
-    # unpinned, each of the 63 index sets' witnesses is one margin LP's
-    # vertex; the one term covers every index set, so no feasibility LP runs
-    phase1 = []
+    # unpinned, the one term is the union of all 63 index sets, so one
+    # margin LP's vertex witnesses them all and no feasibility LP runs
+    monkeypatch.undo()
+    phase1 = _count_phase1(monkeypatch)
+    compute_cert(spec)
+    assert len(phase1) == 1
+
+
+def _count_phase1(monkeypatch) -> list:
+    """Route lp._simplex_core through a counter of its phase-1 calls (one
+    per LP solved here, as each of these LPs is feasible and bounded)."""
+    from polysafe import lp as plp
+
+    core, phase1 = plp._simplex_core, []
 
     def counting_core(t, tol, n_real=None):
         if n_real is not None:   # phase 1, from the artificials
@@ -242,8 +251,31 @@ def test_certification_lp_budget(monkeypatch):
         return core(t, tol, n_real)
 
     monkeypatch.setattr(plp, "_simplex_core", counting_core)
-    compute_cert(spec)
-    assert len(phase1) == 63
+    return phase1
+
+
+def test_two_term_cert_has_one_witness_per_union(monkeypatch):
+    # boxes x in [-2, 1] and x in [-1, 2], both with |y| <= 1, sharing the y
+    # rows 2 and 3: every index set meets the safety set, and one outside
+    # term 0 takes the union I | term 0, one of {0, 1, 2, 3} plus {4}, {5}
+    # or {4, 5}.  Those three unions each need a feasibility LP, and each of
+    # the four distinct unions one margin LP per term
+    rows = [((1, 0), 2), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 0), 1), ((-1, 0), 2)]
+    spec = SafetySpec(halfspaces=tuple(HalfSpace(np.array(a, dtype=float), b)
+                                       for a, b in rows),
+                      terms=((0, 1, 2, 3), (4, 5, 2, 3)), n=2)
+    phase1 = _count_phase1(monkeypatch)
+    cert = compute_cert(spec)
+    assert len(phase1) == 3 + 4 * 2
+    assert len(cert.s_cap) == 2 ** 6 - 1
+    assert len({id(y) for y in cert.witnesses.values()}) == 4
+    mixed, union = frozenset({0, 4}), frozenset({0, 1, 2, 3, 4})
+    assert cert.witnesses[mixed] is cert.witnesses[union]
+    assert cert.delta == pytest.approx(1.0, abs=1e-12)   # the overlap's |x|, |y| <= 1
+    cbf = build(spec, cert, 1.0, 0.5)
+    for t in spec.terms:
+        state = lift_position(cbf, cert.witnesses[frozenset(t)])
+        assert eval_B(cbf, state).value >= 0.0, t
 
 
 def test_velocity_bound_slab_analytic(slab, slab_cert):

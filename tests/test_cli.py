@@ -261,20 +261,35 @@ def _edited_cert(edit):
     return barrier
 
 
-@pytest.mark.parametrize("barrier", [
-    pytest.param(_edited_cert(lambda c: c.update(witnesses=[])), id="no-witnesses"),
+# the one half-plane x1 >= -1, with a witness that has its margin
+_HALF_PLANE_BARRIER = {"n": 2, "halfspaces": [{"a": [1.0, 0.0], "b": 1.0}], "terms": [[1]],
+                       "cbf": {"gamma": 1.0, "epsilon": 0.5},
+                       "cert": {"delta": 1.0, "witnesses": [{"indices": [1], "y": [0.0, 0.0]}]}}
+
+
+@pytest.mark.parametrize("barrier, message", [
+    pytest.param(_edited_cert(lambda c: c.update(witnesses=[])),
+                 "must name the 63 index sets", id="no-witnesses"),
     pytest.param(_edited_cert(lambda c: [w.update(y=[0]) for w in c["witnesses"]]),
-                 id="short-witnesses"),
+                 "barrier field 'cert'", id="short-witnesses"),
     pytest.param(_edited_cert(lambda c: c["witnesses"][0].update(y=[100, 100])),
-                 id="witness-outside"),
-    pytest.param(_edited_cert(lambda c: c.update(delta=5)), id="delta"),
+                 "witness for [0] lacks a positive margin", id="witness-outside"),
+    pytest.param(_edited_cert(lambda c: c.update(delta=5)), "cert delta 5", id="delta"),
+    pytest.param(_HALF_PLANE_BARRIER, "term 0 is unbounded", id="unbounded-term"),
+    pytest.param(_edited_cert(lambda c: c["witnesses"].insert(
+        0, {"indices": [1], "y": [100, 100]})), "cert names indices [1] twice",
+                 id="repeated-indices"),
 ])
-def test_barrier_with_a_false_certificate_exits_3(tmp_path, specfile, capsys, barrier):
+def test_barrier_with_a_false_certificate_exits_3(tmp_path, specfile, capsys, barrier,
+                                                   message):
     # the certificate was once trusted as written: these exited 1 with a
-    # KeyError traceback, 0, 4 and 0 in turn
+    # KeyError traceback, 0, 4 and 0 in turn; an unbounded term exited 5 with
+    # no boundary facets, and a false entry before a true one for the same
+    # index set was overwritten and exited 0
     assert main(_verify_with(barrier, samples="20")(tmp_path, specfile)) == 3
     err = capsys.readouterr().err
     assert err.startswith("ValidationError: ") and err.count("\n") == 1
+    assert message in err
     assert "Traceback" not in err
 
 

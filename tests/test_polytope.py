@@ -490,15 +490,23 @@ def _linprog_margin(spec, I):
 @pytest.mark.parametrize("make_spec", [hexagon_spec, _near_degenerate_spec],
                          ids=["hexagon", "near_degenerate"])
 def test_cert_witnesses_attain_the_optimal_margin(make_spec):
-    # any maximizer of the margin LP will do, so the witness is whichever
-    # vertex the simplex reaches; it must attain HiGHS's margin and lie in C
+    # each index set I carries the witness of its union U: any maximizer of
+    # U's margin LP will do, so the witness is whichever vertex the simplex
+    # reaches; it must attain HiGHS's margin on U and lie in C, and delta is
+    # HiGHS's smallest margin over every I
     spec = make_spec()
     cert = compute_cert(spec)
-    for I, y in cert.witnesses.items():
-        idx = sorted(I)
+    s_cap = enumerate_s_cap(spec)
+    assert list(cert.witnesses) == list(s_cap)
+    for I, U in s_cap.items():
+        y = cert.witnesses[I]
+        assert y is cert.witnesses[U], sorted(I)
+        idx = sorted(U)
         margin = (spec.A[idx] @ y + spec.offsets[idx]).min()
-        assert margin == pytest.approx(_linprog_margin(spec, I), rel=0, abs=1e-10), idx
+        assert margin == pytest.approx(_linprog_margin(spec, U), rel=0, abs=1e-10), idx
         assert eval_h(spec, y) >= 0.0, idx
+    best = min(_linprog_margin(spec, I) for I in s_cap)
+    assert cert.delta == pytest.approx(best, rel=0, abs=1e-10)
 
 
 def test_cert_witnesses_in_C_and_delta_attained(hexagon):
@@ -533,6 +541,23 @@ def test_cert_rejects_unbounded_term():
     with pytest.raises(ValidationError, match="term 0 is unbounded") as info:
         compute_cert(spec)
     assert info.type is ValidationError
+
+
+def test_unbounded_term_is_refused_before_any_lp(monkeypatch):
+    # two quadrants: enumerating their index sets would solve feasibility LPs
+    # for the unions of one term's rows with the other's
+    from polysafe import lp as plp
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(plp, "_simplex_core", no_lp)
+    spec = SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0),
+                                  _hs([-1.0, 0.0], 1.0), _hs([0.0, -1.0], 1.0)),
+                      terms=((0, 1), (2, 3)), n=2)
+    for certify in (compute_cert, enumerate_s_cap):
+        with pytest.raises(ValidationError, match="term 0 is unbounded"):
+            certify(spec)
 
 
 def test_slab_delta_scales_with_width():
