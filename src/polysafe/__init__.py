@@ -7,7 +7,6 @@ minimally modifies a nominal command; `simulate` closes the loop.
 """
 
 from .errors import (
-    EmptySet,
     Infeasible,
     NonFinite,
     NumericalBreakdown,

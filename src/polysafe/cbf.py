@@ -3,8 +3,8 @@
 Each position half-space row a_i @ x1 + b_i contributes a companion
 velocity row a_i @ x2 + gamma * (a_i @ x1 + b_i) - epsilon; the extended
 safe set C^s is the superlevel set of the max-min over both families.
-This module builds that barrier, certifies its compactness (from the
-spec's term extents) and velocity bound (from vertices on the spec's rows),
+This module builds that barrier, certifies its compactness (which the
+spec has shown) and velocity bound (from vertices on the spec's rows),
 lifts safe positions into C^s, samples its boundary, and checks the
 boundary safety condition against a plant.
 """
@@ -198,12 +198,15 @@ def build(spec: SafetySpec, cert: GeometryCert, gamma: float,
 
 def cbf_from_dict(d: dict) -> ExtendedCbf:
     """Inverse of ExtendedCbf.to_dict (witness indices 1-based on the wire, each
-    index set once); the certificate is checked as compute_cert's is (ValidationError)."""
+    index set once, each index once in it); the certificate is checked as
+    compute_cert's is (ValidationError)."""
     spec = SafetySpec.from_dict(d)
     witnesses = {}
     with parsing("barrier field 'cert'", ValidationError):
         for e in d["cert"]["witnesses"]:
             I = frozenset(integer(i, "indices") - 1 for i in e["indices"])
+            if len(I) != len(e["indices"]):
+                raise ValidationError(f"cert entry {e['indices']} repeats an index")
             if I in witnesses:
                 raise ValidationError(f"cert names indices {sorted(i + 1 for i in I)} twice")
             witnesses[I] = np.reshape(real(e["y"], "y"), spec.n)
@@ -259,8 +262,9 @@ def check_compactness(cbf: ExtendedCbf) -> bool:
     """True iff every extended term is a bounded polytope.
 
     An extended term is P x P_rho (see `ExtendedCbf.velocity_extents`), so
-    it is bounded iff its position term P is: the spec's stored term
-    extents answer it, with no LP.
+    it is bounded iff its position term P is.  A `SafetySpec` refuses an
+    unbounded term when it is built, so this is always True; it is kept,
+    with its finiteness test, for the callers that report it.
     """
     return bool(np.isfinite(cbf.spec.term_extents).all())
 

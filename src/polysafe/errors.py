@@ -5,9 +5,10 @@ and each of the four codes has a class of its own:
 
 - `ParameterViolation` (2): a design parameter fails its gate
   (gamma * delta <= epsilon, an input bound d <= kG * k1);
-- `ValidationError` (3): a bad constraint spec or barrier, or a geometry
-  the certificate refuses (more half-spaces than the enumeration cap, an
-  unbounded term, an index set with no interior witness);
+- `ValidationError` (3): a bad constraint spec or barrier (an unbounded
+  or empty term is refused when the spec is built), or a geometry the
+  certificate refuses (more half-spaces than the enumeration cap, an index
+  set with no interior witness);
 - `UsageError` (64): any other malformed input or argument;
 - `PolysafeError` (5): a failure while running, such as a position
   outside C passed to the lift, a G2 with no right inverse, a singular
@@ -15,7 +16,7 @@ and each of the four codes has a class of its own:
   without the potential/velocity force split.
 
 The other subclasses are raised by several modules (`NumericalBreakdown`,
-`NonFinite`), caught inside the package (`EmptySet`, `Infeasible`), or
+`NonFinite`), caught inside the package (`Infeasible`), or
 carry data (`QpInfeasibleAt`).
 """
 
@@ -51,12 +52,6 @@ class ParameterViolation(PolysafeError):
 
 class NumericalBreakdown(PolysafeError):
     """A solver hit its iteration limit or a singular basis."""
-
-
-class EmptySet(PolysafeError):
-    """A polyhedron that was required to be nonempty is empty."""
-
-    exit_code = 3
 
 
 class Infeasible(PolysafeError):

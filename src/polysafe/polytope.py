@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, ValidationError, integer, parsing, real
+from .errors import ValidationError, integer, parsing, real
 from .lp import LpProblem, lp_solve, lp_feasible_point
 
 ENUMERATION_CAP = 20
 _RANK_RTOL = 1e-12  # rows are independent above this share of their lengths
-_RAY_RTOL = 1e-9    # a ray's component counts above this share of its largest
 _BLOCK = 4096       # index subsets per batch in `vertices`
 _SUBSET_CAP = math.comb(ENUMERATION_CAP, ENUMERATION_CAP // 2)  # C(20, 10)
 
@@ -93,16 +92,16 @@ class SafetySpec:
     """Union-of-intersections position constraint over r half-spaces.
 
     `terms` lists, per union term, the 0-based indices of its
-    half-spaces.  Every term must be a nonempty, feasible intersection,
-    and distinct half-spaces must have linearly independent augmented
-    vectors (a_i, b_i).  `A` (r x n) and `offsets` hold the half-spaces
-    in index order and `rows` the term rows stacked for `max_min`.
-    `term_extents` (terms x 2 x n) holds each term's `extents`, from its
-    vertices and extreme rays with no LP: a term whose m rows have over
-    C(20, 10) subsets of a size k <= n is rejected before they are
-    enumerated, one with no vertex as empty, and the certificate's
-    boundedness test, the bounding box and the barrier's compactness and
-    velocity extents read them.  All are built once and read-only.
+    half-spaces.  Every term must be a bounded, nonempty intersection, so
+    the safety set is compact, and distinct half-spaces must have linearly
+    independent augmented vectors (a_i, b_i).  `A` (r x n) and `offsets`
+    hold the half-spaces in index order and `rows` the term rows stacked
+    for `max_min`.  A term whose m rows have over C(20, 10) subsets of a
+    size k <= n is rejected before they are enumerated, then one whose rows
+    fail `bounded` as unbounded, and one with no vertex as empty.
+    `term_extents` (terms x 2 x n) holds each term's `extents`, its
+    vertices' min and max with no LP, which the bounding box and the
+    barrier's velocity extents read.  All are built once and read-only.
     """
 
     halfspaces: tuple[HalfSpace, ...]
@@ -143,9 +142,12 @@ class SafetySpec:
         rows = TermRows(A, offsets, terms)
         ext = []
         for li in range(len(terms)):
+            A_t, b_t, _ = rows.term_rows(li)
+            if not bounded(A_t):
+                raise ValidationError(f"term {li} is unbounded")
             try:
-                ext.append(extents(*rows.term_rows(li)[:2]))
-            except EmptySet:
+                ext.append(extents(A_t, b_t))
+            except ValidationError:
                 raise ValidationError(f"term {li} is an empty intersection") from None
         for name, arr in (("A", A), ("offsets", offsets),
                           ("term_extents", np.array(ext))):
@@ -214,35 +216,28 @@ def contains(spec: SafetySpec, x1: np.ndarray) -> bool:
     return eval_h(spec, x1) >= 0.0
 
 
-def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0}
-    (A's rows nonzero), from the set's vertices and extreme rays, with no LP.
+def bounded(A: np.ndarray) -> bool:
+    """Whether {x | A @ x + b >= 0} (A's rows nonzero) is bounded for every b,
+    reading A alone: A has rank n, counting the singular values above
+    _RANK_RTOL of the largest with its rows scaled to unit length as in
+    `vertices`' test, and the recession cone {d | A @ d >= 0} has no extreme
+    ray, that is no vertex of its section {d | A @ d >= 0, s @ d = 1}, s the
+    sum of A's rows (s @ d > 0 on the cone but at 0 when A has rank n)."""
+    sv = np.linalg.svd(A / np.linalg.norm(A, axis=1)[:, None], compute_uv=False)
+    if (sv > _RANK_RTOL * sv[0]).sum() < A.shape[1]:
+        return False
+    return not len(vertices(np.vstack([A, A.sum(axis=0)]),
+                            np.append(np.zeros(len(A)), -1.0), on_last=True))
 
-    A of rank r < n leaves lines along its null space, and the set is those
-    lines plus {Q y | A Q y + b >= 0}, Q (n x r) an orthonormal basis of A's
-    row space; at full rank Q = I and x = y.  The vertices are
-    `vertices(A Q, b)`, and none means an empty set (EmptySet).  The extreme
-    rays are the vertices of the recession cone's section
-    {d | A Q d >= 0, s @ d = 1}, s the sum of A Q's rows.  Each extent is
-    the vertices' min or max, or -inf or +inf where a ray or a line has a
-    component of that sign above _RAY_RTOL of its largest.  The rank counts
-    the singular values above _RANK_RTOL of the largest, with A's rows
-    scaled to unit length as in `vertices`' test.
-    """
-    n = A.shape[1]
-    _, sv, Vt = np.linalg.svd(A / np.linalg.norm(A, axis=1)[:, None])
-    r = int((sv > _RANK_RTOL * sv[0]).sum())
-    AQ = A if r == n else A @ Vt[:r].T
-    V = vertices(AQ, b)
+
+def extents(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo[j] = min x_j, hi[j] = max x_j over {x | A @ x + b >= 0},
+    for A that is `bounded`: the min and max of the set's vertices, with no
+    LP.  A set with no vertex is empty (ValidationError)."""
+    V = vertices(A, b)
     if not len(V):
-        raise EmptySet("half-space intersection is empty")
-    s = AQ.sum(axis=0)
-    rays = vertices(np.vstack([AQ, s]), np.append(np.zeros(len(b)), -1.0), on_last=True)
-    if r < n:
-        V, rays = V @ Vt[:r], np.vstack([rays @ Vt[:r], Vt[r:], -Vt[r:]])
-    beyond = _RAY_RTOL * np.abs(rays).max(axis=1, keepdims=True)
-    return (np.where((rays < -beyond).any(axis=0), -np.inf, V.min(axis=0)),
-            np.where((rays > beyond).any(axis=0), np.inf, V.max(axis=0)))
+        raise ValidationError("half-space intersection is empty")
+    return V.min(axis=0), V.max(axis=0)
 
 
 def vertices(A: np.ndarray, b: np.ndarray, on_last: bool = False) -> np.ndarray:
@@ -268,8 +263,8 @@ def vertices(A: np.ndarray, b: np.ndarray, on_last: bool = False) -> np.ndarray:
 def velocity_extents(spec: SafetySpec, rho: float) -> np.ndarray:
     """Per term P, the 2 x n extents (lo_rho - hi, hi_rho - lo) of P_rho - P,
     P_rho its rows shrunk to a_i @ x + b_i >= rho; gamma times them bound the
-    barrier's x2.  P_rho's extents are its `extents` (EmptySet if it is
-    empty); a bounded P_rho's are its vertices' min and max."""
+    barrier's x2.  P_rho has P's rows, which the spec has shown `bounded`, so
+    its extents are its vertices' min and max (ValidationError if it is empty)."""
     out = []
     for ell, (lo, hi) in enumerate(spec.term_extents):
         A, b, _ = spec.rows.term_rows(ell)
@@ -281,14 +276,11 @@ def enumerate_s_cap(spec: SafetySpec) -> dict[frozenset[int], frozenset[int]]:
     """{I: U} for every nonempty I whose half-spaces meet the safety set, in
     canonical order; U = I | term for the first term it is feasible with.
     Exhaustive over the 2^r - 1 subsets with one feasibility LP per distinct
-    union that is not a term (the spec has shown every term nonempty).  A
-    spec no certificate admits is refused first (ValidationError): one with
-    r > ENUMERATION_CAP, or an unbounded term, read from its stored extents."""
+    union that is not a term (the spec has shown every term bounded and
+    nonempty).  A spec with r > ENUMERATION_CAP is refused first
+    (ValidationError)."""
     if spec.r > ENUMERATION_CAP:
         raise ValidationError(f"r={spec.r} exceeds enumeration cap {ENUMERATION_CAP}")
-    for li, lo_hi in enumerate(spec.term_extents):
-        if not np.isfinite(lo_hi).all():
-            raise ValidationError(f"term {li} is unbounded")
     term_sets = [frozenset(t) for t in spec.terms]
     cache = dict.fromkeys(term_sets, True)
     result = {}
@@ -387,10 +379,7 @@ def certify_witnesses(spec: SafetySpec, pairs) -> GeometryCert:
 
 def position_bounding_box(spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) axis-aligned bounds of the safety set: the stored term extents' hull."""
-    ext = spec.term_extents
-    if not np.isfinite(ext).all():
-        raise ValidationError("term unbounded while computing bounds")
-    return ext[:, 0].min(axis=0), ext[:, 1].max(axis=0)
+    return spec.term_extents[:, 0].min(axis=0), spec.term_extents[:, 1].max(axis=0)
 
 
 # canonical example geometries -------------------------------------------------

@@ -211,8 +211,8 @@ def test_compactness_accepts_a_zero_offset_companion_row():
 
 def test_certification_lp_budget(monkeypatch):
     # every LP of the package runs the simplex in lp._simplex_core, so with it
-    # raising, none is solved: the spec's term extents and the barrier's
-    # velocity extents come from vertices and extreme rays, compactness and
+    # raising, none is solved: the spec's boundedness test, its term extents
+    # and the barrier's velocity extents come from vertices, compactness and
     # the bounding box read the term extents, and the pinned certificate
     # evaluates its witness
     from polysafe import lp as plp

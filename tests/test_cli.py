@@ -279,13 +279,16 @@ _HALF_PLANE_BARRIER = {"n": 2, "halfspaces": [{"a": [1.0, 0.0], "b": 1.0}], "ter
     pytest.param(_edited_cert(lambda c: c["witnesses"].insert(
         0, {"indices": [1], "y": [100, 100]})), "cert names indices [1] twice",
                  id="repeated-indices"),
+    pytest.param(_edited_cert(lambda c: c["witnesses"][0].update(indices=[1, 1])),
+                 "cert entry [1, 1] repeats an index", id="repeated-member"),
 ])
 def test_barrier_with_a_false_certificate_exits_3(tmp_path, specfile, capsys, barrier,
                                                    message):
     # the certificate was once trusted as written: these exited 1 with a
     # KeyError traceback, 0, 4 and 0 in turn; an unbounded term exited 5 with
     # no boundary facets, and a false entry before a true one for the same
-    # index set was overwritten and exited 0
+    # index set was overwritten and exited 0, and a member named twice in an
+    # entry was dropped, the entry read as its set
     assert main(_verify_with(barrier, samples="20")(tmp_path, specfile)) == 3
     err = capsys.readouterr().err
     assert err.startswith("ValidationError: ") and err.count("\n") == 1
@@ -741,7 +744,7 @@ def test_underflowing_inertia_exit_5(tmp_path, specfile, capsys, argv):
 # condition check alone
 _EXIT_CODES = {
     "PolysafeError": 5, "ValidationError": 3, "UsageError": 64,
-    "ParameterViolation": 2, "NumericalBreakdown": 5, "EmptySet": 3,
+    "ParameterViolation": 2, "NumericalBreakdown": 5,
     "Infeasible": 5, "QpInfeasibleAt": 5, "NonFinite": 5,
 }
 _ERROR_CLASSES = sorted(

@@ -11,10 +11,11 @@ from scipy.optimize import linprog
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysafe.errors import EmptySet, ValidationError
+from polysafe.errors import ValidationError
 from polysafe.polytope import (
     HalfSpace,
     SafetySpec,
+    bounded,
     compute_cert,
     contains,
     enumerate_s_cap,
@@ -165,33 +166,34 @@ def test_eval_h_many_matches_scalar(pt):
 # --- boundedness --------------------------------------------------------------
 
 def test_is_bounded_hexagon(hexagon):
-    assert np.isfinite(extents(hexagon.A, hexagon.offsets)).all()
+    assert bounded(hexagon.A)
 
 
 def test_is_bounded_false_for_halfplane():
-    assert not np.isfinite(extents(np.array([[1.0, 0.0]]), np.array([1.0]))).all()
+    assert not bounded(np.array([[1.0, 0.0]]))
 
 
 def test_is_bounded_false_for_parallel_slab_2d():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert not np.isfinite(extents(A, np.array([1.0, 1.0]))).all()
+    assert not bounded(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 def test_is_bounded_true_for_interval():
-    assert np.isfinite(extents(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))).all()
+    assert bounded(np.array([[1.0], [-1.0]]))
 
 
 def test_is_bounded_raises_on_empty():
-    with pytest.raises(EmptySet):
-        extents(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
+    # bounded rows with no common point: `extents` finds no vertex
+    A = np.array([[1.0], [-1.0]])
+    assert bounded(A)
+    with pytest.raises(ValidationError, match="intersection is empty"):
+        extents(A, np.array([-2.0, -2.0]))
 
 
 def test_is_bounded_square_vs_dropped_row():
     square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert np.isfinite(extents(square, np.ones(4))).all()
+    assert bounded(square)
     for k in range(4):
-        kept = np.delete(np.arange(4), k)
-        assert not np.isfinite(extents(square[kept], np.ones(3))).all()
+        assert not bounded(np.delete(square, k, axis=0))
 
 
 # --- extents ------------------------------------------------------------------
@@ -234,18 +236,16 @@ def test_extents_match_linprog_on_random_polytopes(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_extents_infinite_with_a_row_dropped(n):
+    # a simplex is bounded, and without one of its rows some extent is infinite
     rng = np.random.Generator(np.random.Philox(200 + n))
     for _ in range(5):
         A, b = _positive_basis(rng, n)
+        assert bounded(A)
         k = rng.integers(n + 1)
         A, b = np.delete(A, k, axis=0), np.delete(b, k)
-        lo, hi = extents(A, b)
+        assert not bounded(A)
         ref_lo, ref_hi = _linprog_extents(A, b)
-        assert not (np.isfinite(lo).all() and np.isfinite(hi).all())
-        np.testing.assert_array_equal(np.isfinite(lo), np.isfinite(ref_lo))
-        np.testing.assert_array_equal(np.isfinite(hi), np.isfinite(ref_hi))
-        np.testing.assert_allclose(lo, ref_lo, rtol=1e-7, atol=1e-7)
-        np.testing.assert_allclose(hi, ref_hi, rtol=1e-7, atol=1e-7)
+        assert not (np.isfinite(ref_lo).all() and np.isfinite(ref_hi).all())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -259,42 +259,37 @@ def test_extents_raise_on_empty_sets(n):
         ref = linprog(np.zeros(n), A_ub=-A, b_ub=b, bounds=[(None, None)] * n,
                       method="highs")
         assert ref.status == 2
-        with pytest.raises(EmptySet):
+        with pytest.raises(ValidationError):
             extents(A, b)
 
 
 def test_extents_of_a_half_plane_run_along_its_line():
     # x1 >= -1 in 2-D: rank 1, so x2 runs along a line, and x1 up a ray
     A, b = np.array([[1.0, 0.0]]), np.array([1.0])
-    lo, hi = extents(A, b)
-    np.testing.assert_array_equal(lo, [-1.0, -np.inf])
-    np.testing.assert_array_equal(hi, [np.inf, np.inf])
-    np.testing.assert_array_equal(np.array([lo, hi]), np.array(_linprog_extents(A, b)))
+    assert bounded(A) is False
+    np.testing.assert_array_equal(np.array(_linprog_extents(A, b)),
+                                  [[-1.0, -np.inf], [np.inf, np.inf]])
 
 
 def test_extents_of_a_3d_slab():
-    # -1 <= x1 + x2 <= 2 in 3-D: rank 1, lines along the rest, every extent infinite
-    A, b = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]), np.array([1.0, 2.0])
-    lo, hi = extents(A, b)
-    np.testing.assert_array_equal(np.array([lo, hi]), np.array(_linprog_extents(A, b)))
-    # -1 <= x1 <= 2: x1 bounded, x2 and x3 free
-    A = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    lo, hi = extents(A, b)
-    np.testing.assert_allclose(lo, [-1.0, -np.inf, -np.inf], rtol=1e-15)
-    np.testing.assert_allclose(hi, [2.0, np.inf, np.inf], rtol=1e-15)
-    np.testing.assert_allclose(np.array([lo, hi]), np.array(_linprog_extents(A, b)),
-                               rtol=1e-15)
+    # -1 <= x1 + x2 <= 2 and -1 <= x1 <= 2 in 3-D: rank 1, lines along the rest
+    for A in ([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]):
+        assert bounded(np.array(A)) is False
 
 
 def test_extents_raise_on_an_empty_rank_deficient_set():
-    # x1 >= 1 and x1 <= -1 in 2-D
-    with pytest.raises(EmptySet):
-        extents(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+    # x1 >= 1 and x1 <= -1 in 2-D: the rank test refuses it before emptiness
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert bounded(A) is False
+    hs = (_hs([1.0, 0.0], -1.0), _hs([-1.0, 0.0], -1.0))
+    with pytest.raises(ValidationError, match="term 0 is unbounded"):
+        SafetySpec(halfspaces=hs, terms=((0, 1),), n=2)
 
 
 def test_vertices_solve_their_subsets_in_bounded_blocks(monkeypatch):
-    # one term with n = 8 and 20 rows has C(20, 8) = 125,970 vertex subsets and
-    # C(20, 7) = 77,520 for its rays: each solve takes at most a block of them
+    # one term with n = 8 and 20 rows has C(20, 8) = 125,970 vertex subsets
+    # (`bounded` takes C(20, 7) = 77,520 for its rays): each solve takes at
+    # most a block of them
     from polysafe import polytope as ppoly
 
     rng = np.random.Generator(np.random.Philox(8))
@@ -315,16 +310,25 @@ def test_vertices_solve_their_subsets_in_bounded_blocks(monkeypatch):
                                rtol=1e-9, atol=1e-9)
 
 
-def test_velocity_extents_of_an_unbounded_term_are_infinite():
-    # x1 >= -1 in 2-D: P_rho has no vertex, and P_rho - P is unbounded both ways
-    spec = SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0),), terms=((0,),), n=2)
-    assert not np.isfinite(velocity_extents(spec, 0.5)).any()
-
-
 def test_velocity_extents_raise_on_an_empty_shrunk_term(hexagon):
     # no point of the hexagon lies pi/2 inside every row
-    with pytest.raises(EmptySet):
+    with pytest.raises(ValidationError):
         velocity_extents(hexagon, 2.0)
+
+
+def test_velocity_extents_enumerate_vertices_once_per_term(hexagon, monkeypatch):
+    # P_rho has the rows of the spec's bounded term P: no second, ray, enumeration
+    from polysafe import polytope as ppoly
+
+    calls, original = [], ppoly.vertices
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("on_last", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ppoly, "vertices", counting)
+    velocity_extents(hexagon, 0.3)
+    assert calls == [False] * len(hexagon.terms)
 
 
 def test_bounding_box_of_a_union_is_the_hull_of_term_extents():
@@ -441,7 +445,9 @@ def test_spec_keeps_a_term_at_the_subset_cap():
 
 
 def test_s_cap_enumeration_cap():
-    hs = tuple(_hs([1.0, k], 1.0 + k) for k in range(1, 22))
+    # a regular 21-gon: bounded, so only r is beyond the cap
+    angles = 2 * np.pi * np.arange(21) / 21
+    hs = tuple(_hs([np.cos(t), np.sin(t)], 1.0 + 0.01 * k) for k, t in enumerate(angles))
     spec = SafetySpec(halfspaces=hs, terms=(tuple(range(21)),), n=2)
     with pytest.raises(ValidationError, match="r=21 exceeds enumeration cap 20") as info:
         enumerate_s_cap(spec)
@@ -535,29 +541,32 @@ def test_cert_rejects_bad_override(hexagon):
     assert info.type is ValidationError
 
 
-def test_cert_rejects_unbounded_term():
-    spec = SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0)),
-                      terms=((0, 1),), n=2)
-    with pytest.raises(ValidationError, match="term 0 is unbounded") as info:
-        compute_cert(spec)
-    assert info.type is ValidationError
-
-
-def test_unbounded_term_is_refused_before_any_lp(monkeypatch):
-    # two quadrants: enumerating their index sets would solve feasibility LPs
-    # for the unions of one term's rows with the other's
+def _no_lp(monkeypatch):
     from polysafe import lp as plp
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(plp, "_simplex_core", no_lp)
-    spec = SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0),
-                                  _hs([-1.0, 0.0], 1.0), _hs([0.0, -1.0], 1.0)),
-                      terms=((0, 1), (2, 3)), n=2)
-    for certify in (compute_cert, enumerate_s_cap):
-        with pytest.raises(ValidationError, match="term 0 is unbounded"):
-            certify(spec)
+
+
+def test_cert_rejects_unbounded_term(monkeypatch):
+    # a quadrant of full rank: its recession cone has extreme rays
+    _no_lp(monkeypatch)
+    with pytest.raises(ValidationError, match="term 0 is unbounded") as info:
+        SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0)),
+                   terms=((0, 1),), n=2)
+    assert info.type is ValidationError
+
+
+def test_unbounded_term_is_refused_before_any_lp(monkeypatch):
+    # two quadrants: enumerating their index sets would solve feasibility LPs
+    # for the unions of one term's rows with the other's; the spec refuses them
+    _no_lp(monkeypatch)
+    with pytest.raises(ValidationError, match="term 0 is unbounded"):
+        SafetySpec(halfspaces=(_hs([1.0, 0.0], 1.0), _hs([0.0, 1.0], 1.0),
+                               _hs([-1.0, 0.0], 1.0), _hs([0.0, -1.0], 1.0)),
+                   terms=((0, 1), (2, 3)), n=2)
 
 
 def test_slab_delta_scales_with_width():

@@ -1,16 +1,21 @@
-"""The benchmark tracer's patch sites exist in the package.
+"""The benchmark tracer's patch sites and the workloads' call sites exist
+in the package.
 
 `perfbench/spans.py` swaps traced wrappers in at the names where callers
 look functions up.  A refactor that moves or renames one of them breaks
 the tracer with a KeyError, which only the slow `python3 -m pytest
 perfbench` run would otherwise show.  The file is loaded by path, as is.
+`perfbench/workloads.py` calls the package through module aliases; its
+syntax tree is read for them, without running it.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -57,3 +62,19 @@ def test_estimate_constants_calls_g2_at_every_grid_point():
                               resolution=20)
     grid = pplant._position_grid(spec, *position_bounding_box(spec), 20)
     assert len(calls) >= len(grid) > 0
+
+
+def test_workload_call_sites_are_package_attributes():
+    # workloads.py imports `from polysafe import cbf as pcbf`, ...: every
+    # attribute it reads through such an alias must still exist
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    aliases = {a.asname or a.name: f"{node.module}.{a.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "polysafe" for a in node.names}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert {alias for alias, _ in used} == {"pcbf", "pplant", "ppoly", "pqp", "psim"}
+    missing = sorted(f"{aliases[alias]}.{attr}" for alias, attr in used
+                     if not hasattr(importlib.import_module(aliases[alias]), attr))
+    assert not missing, f"workload call sites gone: {missing}"
