@@ -193,6 +193,8 @@ def cmd_construct(args) -> int:
     if args.auto:
         if args.d is None:
             raise UsageError("--auto requires --d")
+        if not np.isfinite(args.d):
+            raise UsageError(f"--d must be finite, got {args.d!r}")
         if args.resolution < 2:
             raise UsageError(f"--resolution must be at least 2, got {args.resolution}")
         plant, _ = _plant_from_config(

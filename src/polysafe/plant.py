@@ -154,20 +154,25 @@ class ArmParams:
             raise ValueError("masses and lengths must be positive and finite")
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
         k = m2 * l1 * l2
-        # built once: the dynamics read it several times per evaluation
-        object.__setattr__(self, "_coefficients", {
-            "c11": (m1 + m2) * l1 ** 2 + m2 * l2 ** 2,
-            "c12": 2.0 * k,
-            "c13": m2 * l2 ** 2,
-            "c14": k,
-            "c15": 2.0 * k,
-            "c16": k,
-            "c21": m2 * l2 ** 2,
-            "c22": m2 * l2 ** 2,
-            "c23": k,
-            "c24": -k,
-            "c25": -m2 * GRAVITY * l2 if self.gravity else 0.0,
-        })
+        try:   # a float ** raises OverflowError where * reads inf
+            c = {
+                "c11": (m1 + m2) * l1 ** 2 + m2 * l2 ** 2,
+                "c12": 2.0 * k,
+                "c13": m2 * l2 ** 2,
+                "c14": k,
+                "c15": 2.0 * k,
+                "c16": k,
+                "c21": m2 * l2 ** 2,
+                "c22": m2 * l2 ** 2,
+                "c23": k,
+                "c24": -k,
+                "c25": -m2 * GRAVITY * l2 if self.gravity else 0.0,
+            }
+        except OverflowError:
+            c = {"c11": math.inf}
+        if not all(map(math.isfinite, c.values())):
+            raise ValueError("masses and lengths overflow the arm's coefficients c_ij")
+        object.__setattr__(self, "_coefficients", c)   # read by every dynamics call
 
     @property
     def coefficients(self) -> dict[str, float]:
@@ -212,50 +217,55 @@ def potential_vector(p: ArmParams, theta: np.ndarray) -> np.ndarray:
 def two_link_arm(params: ArmParams) -> PlantModel:
     """n = m = 2 arm plant: G2 = M^{-1}, the Coriolis/potential split, accel.
 
-    The dynamics are evaluated in scalars, from the same entries as
-    mass_matrix, coriolis_matrix and potential_vector: they run many times
-    per control step, and numpy's per-call cost dominates on 2x2 arrays.
-    accel, which rk4_step calls once per stage, takes one cosine and one
-    sine of theta2 and one inverse of the inertia, and builds no array.
+    Each callable, on arrays or lists, is straight-line code on Python floats
+    with the c_ij bound once and one shared inverse of the inertia: they run
+    many times per control step and per grid point, where numpy's per-scalar
+    costs dominate.  The entries are those of mass_matrix, coriolis_matrix
+    and potential_vector, each computed with the same operations in order.
     """
-    c = params.coefficients
+    c11, c12, c13, c14, c15, c16, c21, c22, c23, c24, c25 = \
+        params.coefficients.values()   # built in this order by ArmParams
 
-    def _inverse_inertia(theta):
-        m11, m12, m21, m22 = _inertia(c, theta)
-        det = m11 * m22 - m12 * m21
-        if abs(det) <= 1e-12 * m11 * m22:   # relative: M scales with m l^2; 0 <= 0 too
-            raise PolysafeError(f"inertia matrix singular at theta2={theta[1]:.4g}")
-        return m22 / det, -m12 / det, -m21 / det, m11 / det
-
-    def _solve(theta, r0, r1):
-        """M(theta)^{-1} @ (r0, r1)."""
-        i11, i12, i21, i22 = _inverse_inertia(theta)
-        return np.array([i11 * r0 + i12 * r1, i21 * r0 + i22 * r1])
-
-    def _coriolis_force(theta, thetad):
-        """C(theta, thetad) @ thetad."""
-        c11, c12, c21 = _coriolis(c, theta, thetad)
-        return c11 * thetad[0] + c12 * thetad[1], c21 * thetad[0]
+    def inverse_inertia(t1):
+        """Entries of M^{-1} at theta2 = t1: M = [[m11, m12], [m21, c21]]."""
+        ct2 = math.cos(t1)
+        m11, m12, m21 = c11 + c12 * ct2, c13 + c14 * ct2, c22 + c23 * ct2
+        det = m11 * c21 - m12 * m21
+        if abs(det) <= 1e-12 * m11 * c21:   # relative: M scales with m l^2; 0 <= 0 too
+            raise PolysafeError(f"inertia matrix singular at theta2={t1:.4g}")
+        return c21 / det, -m12 / det, -m21 / det, m11 / det
 
     def G2(x1):
-        i11, i12, i21, i22 = _inverse_inertia(x1)
+        i11, i12, i21, i22 = inverse_inertia(x1[1])
         return np.array([[i11, i12], [i21, i22]])
 
     def f2(x1, x2):
-        r0, r1 = _coriolis_force(x1, x2)
-        return _solve(x1, r0, r1 + _potential(c, x1))
+        t1, v0, v1 = x1[1], float(x2[0]), float(x2[1])   # no numpy-scalar products
+        st2 = math.sin(t1)
+        r0 = c15 * st2 * v1 * v0 + c16 * st2 * v1 * v1
+        r1 = c24 * st2 * v0 * v0 + c25 * math.cos(x1[0] + t1)
+        i11, i12, i21, i22 = inverse_inertia(t1)
+        return np.array([i11 * r0 + i12 * r1, i21 * r0 + i22 * r1])
 
     def f2_velocity(x1, x2):
-        return _solve(x1, *_coriolis_force(x1, x2))
+        t1, v0, v1 = x1[1], float(x2[0]), float(x2[1])
+        st2 = math.sin(t1)
+        r0 = c15 * st2 * v1 * v0 + c16 * st2 * v1 * v1
+        r1 = c24 * st2 * v0 * v0
+        i11, i12, i21, i22 = inverse_inertia(t1)
+        return np.array([i11 * r0 + i12 * r1, i21 * r0 + i22 * r1])
 
     def f2_potential(x1):
-        return _solve(x1, 0.0, _potential(c, x1))
+        r1 = c25 * math.cos(x1[0] + x1[1])
+        i11, i12, i21, i22 = inverse_inertia(x1[1])
+        return np.array([i11 * 0.0 + i12 * r1, i21 * 0.0 + i22 * r1])
 
     def accel(x1, x2, u):
-        r0, r1 = _coriolis_force(x1, x2)
-        i11, i12, i21, i22 = _inverse_inertia(x1)
-        r0 += u[0]
-        r1 += _potential(c, x1) + u[1]
+        t1, v0, v1 = x1[1], x2[0], x2[1]
+        st2 = math.sin(t1)
+        i11, i12, i21, i22 = inverse_inertia(t1)
+        r0 = c15 * st2 * v1 * v0 + c16 * st2 * v1 * v1 + u[0]
+        r1 = c24 * st2 * v0 * v0 + (c25 * math.cos(x1[0] + t1) + u[1])
         return [i11 * r0 + i12 * r1, i21 * r0 + i22 * r1]
 
     return PlantModel(n=2, m=2, f2=f2, G2=G2, f2_potential=f2_potential,
@@ -394,7 +404,9 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
     f2_velocity must be a quadratic form in x2 (PolysafeError if not), so
     ||f2_velocity|| / ||x2|| is maximal on ||x2|| = _V_CAP, and the block
     scan calls it per grid point only at _V_CAP (e_j + e_k) and _V_CAP e_j:
-    by polarization these price every direction.
+    by polarization these price every direction.  The scan's kG values come
+    from one batched SVD per block: 1 / the least singular value above
+    pinv's 1e-15 relative cutoff, as ||pinv(G2)||_2 reads it.
     """
     if not plant.has_split:
         raise PolysafeError("plant lacks the potential/velocity decomposition")
@@ -437,11 +449,12 @@ def estimate_constants(plant: PlantModel, spec: SafetySpec,
         if np.abs(weights(check[None]) @ F[0] - direct).max() > 1e-9 * max(
                 np.abs(direct).max(), np.abs(F[0]).max()):
             raise PolysafeError("f2_velocity is not a quadratic form in x2")
-        G = np.array([np.atleast_2d(plant.G2(x1)) for x1 in blk])
+        s_G = np.linalg.svd([np.atleast_2d(plant.G2(x1)) for x1 in blk], compute_uv=False)
         k1_top = _stable_top(k1_top, np.linalg.norm(
             [plant.f2_potential(x1) for x1 in blk], axis=1), blk.__getitem__, f_k1, 1)
-        kG_top = _stable_top(kG_top, np.linalg.norm(
-            np.linalg.pinv(G), 2, axis=(1, 2)), blk.__getitem__, f_kG, 1)
+        kept = s_G > 1e-15 * s_G[:, :1]   # pinv's cutoff: ||G^+||_2 = 1 / least kept
+        kG_top = _stable_top(kG_top, np.divide(1.0, s_G, out=np.zeros_like(s_G),
+                                               where=kept).max(1), blk.__getitem__, f_kG, 1)
         k2 = np.linalg.norm(weights(dirs) @ F, axis=2).ravel() / _V_CAP
         k2_top = _stable_top(k2_top, k2, lambda i: np.concatenate(
             [blk[i // len(dirs)], dirs[i % len(dirs)]]), f_k2, 3)
@@ -462,7 +475,10 @@ def select_gamma(constants: ElConstants, d: float, spec: SafetySpec,
 
     There rho = epsilon / gamma = delta / 2 at every gamma, so ||x2|| <= c gamma
     with c = sqrt(n) max |velocity_extents(spec, delta / 2)|: no barrier is built.
+    A non-finite d, like d <= k1 kG, is a ParameterViolation.
     """
+    if not math.isfinite(d):
+        raise ParameterViolation(f"d = {d!r} is not finite")
     headroom = d - constants.kG * constants.k1
     if headroom <= 0:
         raise ParameterViolation(

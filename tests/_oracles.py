@@ -251,6 +251,72 @@ def rk4_step_stage_loop(plant, u, x, dt):
                      for a, b1, b2, b3, b4 in zip(xs, k1, k2, k3, k4)])
 
 
+def two_link_arm_reference(params):
+    """two_link_arm's callables as the scalar helpers _inertia, _coriolis
+    and _potential computed them, each through its call chain, with the
+    entries read from the c_ij table at every call."""
+    import math
+
+    from polysafe.errors import PolysafeError
+    from polysafe.plant import PlantModel
+
+    c = params.coefficients
+
+    def _inertia(c, theta):
+        ct2 = math.cos(theta[1])
+        return (c["c11"] + c["c12"] * ct2, c["c13"] + c["c14"] * ct2,
+                c["c22"] + c["c23"] * ct2, c["c21"])
+
+    def _coriolis(c, theta, thetad):
+        st2 = math.sin(theta[1])
+        return (c["c15"] * st2 * thetad[1], c["c16"] * st2 * thetad[1],
+                c["c24"] * st2 * thetad[0])
+
+    def _potential(c, theta):
+        return c["c25"] * math.cos(theta[0] + theta[1])
+
+    def _inverse_inertia(theta):
+        m11, m12, m21, m22 = _inertia(c, theta)
+        det = m11 * m22 - m12 * m21
+        if abs(det) <= 1e-12 * m11 * m22:   # relative: M scales with m l^2; 0 <= 0 too
+            raise PolysafeError(f"inertia matrix singular at theta2={theta[1]:.4g}")
+        return m22 / det, -m12 / det, -m21 / det, m11 / det
+
+    def _solve(theta, r0, r1):
+        """M(theta)^{-1} @ (r0, r1)."""
+        i11, i12, i21, i22 = _inverse_inertia(theta)
+        return np.array([i11 * r0 + i12 * r1, i21 * r0 + i22 * r1])
+
+    def _coriolis_force(theta, thetad):
+        """C(theta, thetad) @ thetad."""
+        c11, c12, c21 = _coriolis(c, theta, thetad)
+        return c11 * thetad[0] + c12 * thetad[1], c21 * thetad[0]
+
+    def G2(x1):
+        i11, i12, i21, i22 = _inverse_inertia(x1)
+        return np.array([[i11, i12], [i21, i22]])
+
+    def f2(x1, x2):
+        r0, r1 = _coriolis_force(x1, x2)
+        return _solve(x1, r0, r1 + _potential(c, x1))
+
+    def f2_velocity(x1, x2):
+        return _solve(x1, *_coriolis_force(x1, x2))
+
+    def f2_potential(x1):
+        return _solve(x1, 0.0, _potential(c, x1))
+
+    def accel(x1, x2, u):
+        r0, r1 = _coriolis_force(x1, x2)
+        i11, i12, i21, i22 = _inverse_inertia(x1)
+        r0 += u[0]
+        r1 += _potential(c, x1) + u[1]
+        return [i11 * r0 + i12 * r1, i21 * r0 + i22 * r1]
+
+    return PlantModel(n=2, m=2, f2=f2, G2=G2, f2_potential=f2_potential,
+                      f2_velocity=f2_velocity, accel=accel)
+
+
 def qp_diagnostics_eager(p, z, lam):
     """(objective, KKT residuals) of the optimum z, lam of QpProblem p,
     by the formulas solve_qp once evaluated on every solve."""

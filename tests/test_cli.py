@@ -107,6 +107,18 @@ def test_construct_without_gamma_exit_64(tmp_path, specfile, capsys, flags, mess
     assert capsys.readouterr().err == f"UsageError: {message}\n"
 
 
+@pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
+def test_construct_non_finite_d_exit_64_before_the_scan(tmp_path, specfile, capsys,
+                                                        monkeypatch, d):
+    def scan(*args, **kwargs):
+        raise AssertionError("estimate_constants ran")
+
+    monkeypatch.setattr(cli, "estimate_constants", scan)
+    assert main(["construct", str(specfile), "--auto", f"--d={d}",
+                 "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err == f"UsageError: --d must be finite, got {float(d)!r}\n"
+
+
 def test_construct_parameter_violation_exit_2(tmp_path, specfile):
     code = main(["construct", str(specfile), "--gamma", "0.01",
                  "--epsilon", "1", "--out", str(tmp_path)])
@@ -583,6 +595,11 @@ _NAN, _INF = float("nan"), float("inf")
                  "'witness'", id="witness-bool"),
     pytest.param(_simulate_with(plant={"type": "two_link_arm", "m1": "1"}), "'m1'",
                  id="m1-text"),
+    # every c_ij but c25 is inf; this once exited 5 in the boundary pre-check
+    pytest.param(lambda tmp_path, specfile: [
+        "simulate", str(_scenario(tmp_path, specfile,
+                                  plant={"type": "two_link_arm", "m2": 1e308, "l2": 10.0})),
+        "--out", str(tmp_path / "r")], "plant", id="arm-coefficients-overflow"),
     pytest.param(_simulate_with(initial_state=["0", "0", "0", "0"]), "'initial_state'",
                  id="initial_state-number-text"),
     pytest.param(_simulate_with(**_controller(input_set={"type": "ball", "d": True})),

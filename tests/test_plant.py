@@ -10,6 +10,7 @@ from _oracles import (
     rk4_step_stage_loop,
     sample_safe_positions,
     scan_grid_pointwise,
+    two_link_arm_reference,
 )
 from polysafe import plant as plant_module
 from polysafe.cbf import build, velocity_bound
@@ -61,8 +62,13 @@ def test_gravity_toggle_sets_potential_coefficient():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ArmParams(m1=0.0)
+    # m2 = 1e308 makes every coefficient but c25 inf; l1 ** 2 raises OverflowError
+    for kwargs, message in (({"m1": 0.0}, "positive and finite"),
+                            ({"m2": 1e308, "l2": 10.0}, "overflow"),
+                            ({"l1": 1e200}, "overflow")):
+        with pytest.raises(ValueError, match=message) as info:
+            ArmParams(**kwargs)
+        assert info.type is ValueError, kwargs
 
 
 def test_mass_matrix_spd_and_inverse_consistency(arm, arm_params, hexagon):
@@ -288,6 +294,40 @@ def test_tracking_error_envelope(arm, arm_nominal):
     assert worst <= 0.05
 
 
+_ARM_CALLS = (("G2", 1), ("f2", 2), ("f2_velocity", 2), ("f2_potential", 1),
+              ("accel", 3))
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+def test_arm_callables_equal_the_reference_bit_for_bit(gravity):
+    # signbit too: with c25 = 0 the potential force is a signed zero
+    params = ArmParams(gravity=gravity)
+    arm, ref = two_link_arm(params), two_link_arm_reference(params)
+    for x1, x2, u in zip(*_random_states(59, count=2000)):
+        for args in ((x1, x2, u), (x1.tolist(), x2.tolist(), u.tolist())):
+            for name, k in _ARM_CALLS:
+                got = np.asarray(getattr(arm, name)(*args[:k]))
+                want = np.asarray(getattr(ref, name)(*args[:k]))
+                assert np.array_equal(got, want), (name, args)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (name, args)
+
+
+def test_arm_callables_raise_the_reference_error_first():
+    # a singular inertia at theta2 = 0 and cos(theta1 + theta2) of inf: the
+    # callables that read the potential before the inverse raise ValueError
+    params = ArmParams(m1=1e-14)
+    arm, ref = two_link_arm(params), two_link_arm_reference(params)
+    args = (np.array([np.inf, 0.0]), np.array([0.5, -0.5]), np.array([1.0, 2.0]))
+    first = {"G2": PolysafeError, "f2": ValueError, "f2_velocity": PolysafeError,
+             "f2_potential": ValueError, "accel": PolysafeError}
+    for name, k in _ARM_CALLS:
+        with pytest.raises(first[name]) as want:
+            getattr(ref, name)(*args[:k])
+        with pytest.raises(first[name]) as got:
+            getattr(arm, name)(*args[:k])
+        assert (got.type, str(got.value)) == (want.type, str(want.value)), name
+
+
 # --- constant estimation ------------------------------------------------------
 
 def test_constants_no_gravity(arm, hexagon):
@@ -380,6 +420,15 @@ def _quadratic_plant_3d():
                       f2_velocity=f2_velocity)
 
 
+def _rank_deficient_plant_2d():
+    """A 2-D plant whose G2 = diag(1, x1[0] + 1e-17) has its least singular
+    value below pinv's 1e-15 relative cutoff where x1[0] = 0."""
+    zero = np.zeros(2)
+    return PlantModel(n=2, m=2, f2=lambda x1, x2: zero,
+                      G2=lambda x1: np.diag([1.0, x1[0] + 1e-17]),
+                      f2_potential=lambda x1: zero, f2_velocity=lambda x1, x2: zero)
+
+
 def _peaked_plant_1d(center):
     """A 1-D plant whose velocity gain peaks at x1 = center."""
     gain = lambda x1: 1.0 - (x1[0] - center) ** 2
@@ -411,7 +460,7 @@ def _oracle_picks(plant, spec, resolution):
 
 
 @pytest.mark.parametrize("case", ["gravity_arm", "arm", "slab", "di_3d",
-                                  "quadratic_3d"])
+                                  "quadratic_3d", "rank_deficient_2d"])
 def test_block_scan_matches_pointwise_scan(monkeypatch, case):
     plant, spec, resolution = {
         "gravity_arm": (two_link_arm(ArmParams(gravity=True)), hexagon_spec(), 40),
@@ -420,6 +469,8 @@ def test_block_scan_matches_pointwise_scan(monkeypatch, case):
         "slab": (double_integrator(1), slab_spec(), 50),
         "di_3d": (double_integrator(3), _box_spec(3), 6),
         "quadratic_3d": (_quadratic_plant_3d(), _box_spec(3), 6),
+        # the odd resolution puts x1[0] = 0 on the grid
+        "rank_deficient_2d": (_rank_deficient_plant_2d(), _box_spec(2), 7),
     }[case]
     _, (x1_k1, x1_kG, top) = _oracle_picks(plant, spec, resolution)
     starts = _polish_starts(monkeypatch, plant, spec, resolution)
@@ -454,6 +505,14 @@ def test_select_gamma_insufficient_actuation(hexagon, hexagon_cert,
                                              gravity_constants):
     d = gravity_constants.kG * gravity_constants.k1
     with pytest.raises(ParameterViolation, match=r"d = \S+ <= kG\*k1 = ") as info:
+        select_gamma(gravity_constants, d, hexagon, hexagon_cert)
+    assert info.type is ParameterViolation
+
+
+@pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+def test_select_gamma_refuses_a_non_finite_d(hexagon, hexagon_cert,
+                                             gravity_constants, d):
+    with pytest.raises(ParameterViolation, match=r"d = \S+ is not finite") as info:
         select_gamma(gravity_constants, d, hexagon, hexagon_cert)
     assert info.type is ParameterViolation
 
